@@ -39,8 +39,6 @@ func runRemote(base string, ids []string, opts exp.Options) int {
 		return 1
 	}
 	req.Header.Set("Content-Type", "application/json")
-	host, _ := os.Hostname()
-	req.Header.Set("X-DMP-Client", "dmpexp@"+host)
 	// Experiments can run for minutes; rely on the server, not a client
 	// timeout, to bound the wait.
 	resp, err := http.DefaultClient.Do(req)

@@ -19,8 +19,9 @@
 // POST /v1/runs and /v1/experiments accept ?wait=1 to block until the
 // result is ready; otherwise they answer 202 with a run id to poll at
 // GET /v1/runs/{id} or stream at GET /v1/runs/{id}/events (server-sent
-// events off the host telemetry feed). When the admission queues are
-// full the daemon sheds load with 429 and a Retry-After header.
+// events off the host telemetry feed). The daemon runs two requests at
+// a time and queues up to 64 more; beyond that it sheds load with 429
+// and a fixed Retry-After of one second.
 //
 // -telemetry-out DIR records the host telemetry artifacts (spans.json,
 // events.jsonl, metrics.json/.prom) on shutdown, in the same format
@@ -44,7 +45,6 @@ import (
 	"syscall"
 	"time"
 
-	"dmp/internal/sched"
 	"dmp/internal/serve"
 	"dmp/internal/store"
 	"dmp/internal/telemetry"
@@ -55,9 +55,6 @@ func main() {
 		listen   = flag.String("listen", ":8080", "address to serve HTTP on")
 		storeDir = flag.String("store", "", "persistent result store directory (empty = in-memory only)")
 		par      = flag.Int("parallel", 0, "simulation worker cap (default NumCPU)")
-		maxReq   = flag.Int("max-requests", 0, "requests executing concurrently (default 2)")
-		queuePC  = flag.Int("queue-per-client", 0, "queued requests allowed per client before shedding (default 8)")
-		queueTot = flag.Int("queue-total", 0, "queued requests allowed in total before shedding (default 64)")
 
 		telemetryOut = flag.String("telemetry-out", "", "record telemetry artifacts (spans.json, events.jsonl, metrics.json/.prom) in this directory on shutdown")
 	)
@@ -87,15 +84,7 @@ func main() {
 	root := tel.Tracer().Begin("dmpserve", "serve")
 	tel.Feed().Emit(telemetry.Event{Kind: "run-start", Name: "dmpserve", Msg: "listen " + *listen})
 
-	cfg := serve.Config{
-		Parallel: *par,
-		Admit: sched.AdmitOptions{
-			MaxConcurrent:      *maxReq,
-			MaxQueuedPerClient: *queuePC,
-			MaxQueuedTotal:     *queueTot,
-		},
-		Span: root,
-	}
+	cfg := serve.Config{Parallel: *par, Span: root}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
@@ -123,7 +112,7 @@ func main() {
 	}
 
 	// Graceful drain: refuse new requests, let in-flight HTTP exchanges
-	// (including waiting clients) finish, then release the admitter.
+	// (including waiting clients) finish, then drain admitted requests.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"runtime"
 	"testing"
 
 	"dmp/internal/core"
@@ -28,32 +27,4 @@ func BenchmarkCacheHit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAdmitterShed measures the rejection path under a full
-// queue — the cost of telling one more client to retry later while the
-// daemon is saturated.
-func BenchmarkAdmitterShed(b *testing.B) {
-	a := NewAdmitter(AdmitOptions{MaxConcurrent: 1, MaxQueuedPerClient: 1, MaxQueuedTotal: 1})
-	block := make(chan struct{})
-	if err := a.Submit("bench", func() { <-block }); err != nil {
-		b.Fatal(err)
-	}
-	// Fill the queue: wait for the blocker to occupy the slot, then
-	// queue until submission sheds — one running, one queued, everything
-	// after rejected.
-	for a.Running() == 0 {
-		runtime.Gosched()
-	}
-	for a.Submit("bench", func() {}) == nil {
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := a.Submit("bench", func() {}); err == nil {
-			b.Fatal("expected shed")
-		}
-	}
-	b.StopTimer()
-	close(block)
-	a.Stop()
 }

@@ -1,15 +1,14 @@
 // Package sched is the process-wide simulation scheduler: a bounded
-// worker pool, a singleflight result cache with an optional persistent
-// backing store, and admission control for many concurrent clients.
+// worker pool and a singleflight result cache with an optional
+// persistent backing store.
 //
-// It began life inside internal/exp (PR 2's result cache and global
-// worker pool) and was extracted so the same machinery serves both the
-// batch CLI (memory-only cache, one implicit client) and the dmpserve
-// daemon (store-backed cache, fair queueing across remote clients).
-// internal/exp remains the only place that knows how to *run* a
+// It began life inside internal/exp (the result cache and global worker
+// pool) and was extracted so the same machinery serves both the
+// batch CLI (memory-only cache) and the dmpserve daemon (store-backed
+// cache). internal/exp remains the only place that knows how to *run* a
 // simulation; this package only decides *whether* and *when* one runs.
 //
-// The three pieces compose independently:
+// The two pieces compose independently:
 //
 //   - Pool: a fixed set of worker slots. Shared returns the
 //     process-global pool; the first caller fixes its capacity, so a
@@ -20,10 +19,6 @@
 //     A Backing store, when installed, is consulted before computing
 //     and written through after, which is what makes results survive
 //     the process (internal/store implements it over a directory).
-//   - Admitter: bounded per-client FIFO queues drained round-robin by
-//     a fixed number of request slots. Overflow is refused immediately
-//     (ErrOverloaded -> HTTP 429) with a Retry-After estimate derived
-//     from observed request durations.
 //
 // Everything here is host-side machinery: nothing reads or writes
 // simulator state, so attached telemetry and the backing store can

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -192,106 +191,4 @@ func TestPoolBounds(t *testing.T) {
 	if p.Cap() != 2 {
 		t.Fatalf("Cap = %d, want 2", p.Cap())
 	}
-}
-
-func TestAdmitterRoundRobinFairness(t *testing.T) {
-	a := NewAdmitter(AdmitOptions{MaxConcurrent: 1, MaxQueuedPerClient: 16, MaxQueuedTotal: 64})
-	defer a.Stop()
-
-	// Hold the single slot with a gate job so the queues build up
-	// deterministically, then release and observe dispatch order.
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	if err := a.Submit("warm", func() { close(started); <-gate }); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-
-	var mu sync.Mutex
-	var order []string
-	record := func(tag string) func() {
-		return func() {
-			mu.Lock()
-			order = append(order, tag)
-			mu.Unlock()
-		}
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	// Client A floods 6 requests before B submits 2: round-robin must
-	// interleave B's work instead of running it last.
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		if err := a.Submit("a", func() { record("a")(); wg.Done() }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		if err := a.Submit("b", func() { record("b")(); wg.Done() }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	go func() { wg.Wait(); close(done) }()
-	close(gate)
-	<-done
-
-	got := strings.Join(order, "")
-	// Strict alternation while both queues are non-empty: a b a b, then
-	// the rest of a's backlog.
-	if want := "ababaaaa"; got != want {
-		t.Fatalf("dispatch order %q, want round-robin %q", got, want)
-	}
-}
-
-func TestAdmitterShedsOnOverload(t *testing.T) {
-	a := NewAdmitter(AdmitOptions{MaxConcurrent: 1, MaxQueuedPerClient: 2, MaxQueuedTotal: 3})
-	defer a.Stop()
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	if err := a.Submit("x", func() { close(started); <-gate }); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-
-	// x may queue two more; the third is shed by the per-client bound.
-	for i := 0; i < 2; i++ {
-		if err := a.Submit("x", func() {}); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	if err := a.Submit("x", func() {}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("per-client overflow: err = %v, want ErrOverloaded", err)
-	}
-	// One more from y fills MaxQueuedTotal; a second y is shed by the
-	// total bound even though y's own queue has room.
-	if err := a.Submit("y", func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Submit("y", func() {}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("total overflow: err = %v, want ErrOverloaded", err)
-	}
-	if ra := a.RetryAfter(); ra <= 0 {
-		t.Fatalf("RetryAfter = %v, want positive", ra)
-	}
-	close(gate)
-}
-
-func TestAdmitterStopRefusesAndDrains(t *testing.T) {
-	a := NewAdmitter(AdmitOptions{MaxConcurrent: 2})
-	var ran atomic.Uint64
-	const n = 10
-	for i := 0; i < n; i++ {
-		if err := a.Submit(fmt.Sprintf("c%d", i%3), func() { ran.Add(1) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.Stop()
-	if got := ran.Load(); got != n {
-		t.Fatalf("Stop drained %d of %d admitted jobs", got, n)
-	}
-	if err := a.Submit("late", func() {}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("submit after Stop: err = %v, want ErrOverloaded", err)
-	}
-	a.Stop() // idempotent
 }

@@ -3,7 +3,7 @@ package sched
 import "dmp/internal/telemetry"
 
 // Host-side telemetry for the scheduler: result cache, backing store
-// traffic, worker pool and admission control. The metrics are always-on
+// traffic and worker pool. The metrics are always-on
 // atomics (an add is cheaper than a branch-and-load, and Cache.Do runs
 // per simulation request, not per simulated cycle); spans and feed
 // events, which allocate and write, are emitted only when a
@@ -33,13 +33,4 @@ var (
 		"simulations currently waiting for a worker-pool slot")
 	mPoolBusy = telemetry.NewGauge("dmp_sched_pool_busy",
 		"worker-pool slots currently held via Acquire/TryAcquire")
-
-	mAdmitted = telemetry.NewCounter("dmp_sched_admitted_total",
-		"requests accepted into the admission queue")
-	mShed = telemetry.NewCounter("dmp_sched_shed_total",
-		"requests refused at admission (overload or shutdown)")
-	mQueueDepth = telemetry.NewGauge("dmp_sched_queue_depth",
-		"requests waiting in the admission queue")
-	mRunning = telemetry.NewGauge("dmp_sched_requests_running",
-		"admitted requests currently dispatched")
 )

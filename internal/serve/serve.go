@@ -1,11 +1,11 @@
 // Package serve implements the dmpserve daemon: simulation as a
-// service over HTTP/JSON. A Server owns the admission controller
-// (internal/sched.Admitter) and, when configured with a store, installs
-// the persistent content-addressed result store (internal/store) as the
-// backing of the process-wide result cache — every simulation any
-// request triggers lands on disk, and any later request (or daemon
-// restart) for the same (workload bytes, config, scale, checker) key is
-// a read, not a simulation.
+// service over HTTP/JSON. A Server owns one bounded admission queue
+// and, when configured with a store, installs the persistent
+// content-addressed result store (internal/store) as the backing of
+// the process-wide result cache — every simulation any request
+// triggers lands on disk, and any later request (or daemon restart) for
+// the same (workload bytes, config, scale, checker) key is a read, not
+// a simulation.
 //
 // Endpoints:
 //
@@ -17,26 +17,20 @@
 //	GET  /healthz, /readyz    liveness / readiness
 //
 // POST endpoints accept ?wait=1 to block until the result is ready
-// (the CLI client uses this) and answer 429 with a Retry-After header
-// when the admission queues are full. Clients are distinguished for
-// queue fairness by the X-DMP-Client header, falling back to the
-// remote address.
+// (the CLI client uses this) and answer 429 with a fixed Retry-After
+// of one second when the admission queue is full.
 package serve
 
 import (
 	"encoding/json"
 	"fmt"
-	"math"
-	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"dmp/internal/core"
 	"dmp/internal/exp"
-	"dmp/internal/sched"
 	"dmp/internal/store"
 	"dmp/internal/telemetry"
 	"dmp/internal/workload"
@@ -51,6 +45,18 @@ var (
 		"server-sent-event subscribers currently connected")
 	mSSEDropped = telemetry.NewCounter("dmp_serve_sse_dropped_total",
 		"telemetry events dropped on slow SSE subscribers")
+	// Keeps its dmp_sched_ name: dmpbench reads it as sched.shed.
+	mShed = telemetry.NewCounter("dmp_sched_shed_total",
+		"requests refused at admission (overload or shutdown)")
+)
+
+// Admission bounds. At most maxRunning admitted requests execute at
+// once (each fans out onto the simulation worker pool, so this bounds
+// requests, not simulations); up to maxQueued more wait their turn.
+// Any request beyond that is refused with 429 and Retry-After: 1.
+const (
+	maxRunning = 2
+	maxQueued  = 64
 )
 
 // Config parameterizes a Server.
@@ -63,21 +69,25 @@ type Config struct {
 	// Parallel bounds simulation workers, as exp.Options.Parallel
 	// (default NumCPU; the first simulation fixes the process pool).
 	Parallel int
-	// Admit bounds concurrently executing and queued requests.
-	Admit sched.AdmitOptions
 	// Span, when non-nil, parents one async child span per accepted
 	// request.
 	Span *telemetry.Span
 }
 
 // Server is the dmpserve HTTP handler plus its request registry and
-// admission controller. Create with New, serve with any http.Server,
+// admission queue. Create with New, serve with any http.Server,
 // release with Close.
 type Server struct {
 	cfg Config
-	adm *sched.Admitter
 	hub *hub
 	mux *http.ServeMux
+
+	// admitted holds one token per admitted request (running or
+	// waiting); running holds one per executing request. Tests shrink
+	// them before serving.
+	admitted chan struct{}
+	running  chan struct{}
+	inflight sync.WaitGroup
 
 	mu     sync.Mutex
 	runs   map[string]*run
@@ -89,7 +99,13 @@ type Server struct {
 // the process-wide result cache. The active telemetry feed (if any) is
 // bridged to the SSE hub.
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg, adm: sched.NewAdmitter(cfg.Admit), hub: newHub(), runs: make(map[string]*run)}
+	s := &Server{
+		cfg:      cfg,
+		hub:      newHub(),
+		admitted: make(chan struct{}, maxRunning+maxQueued),
+		running:  make(chan struct{}, maxRunning),
+		runs:     make(map[string]*run),
+	}
 	if cfg.Store != nil {
 		exp.ResultCache().SetBacking(newStoreBacking(cfg.Store))
 	}
@@ -111,8 +127,8 @@ func New(cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops admitting, drains requests already accepted, and
-// uninstalls the backing store. Subsequent POSTs answer 429.
+// Close stops admitting, waits for every request already admitted to
+// finish, and uninstalls the backing store. Subsequent POSTs answer 429.
 func (s *Server) Close() {
 	s.mu.Lock()
 	wasClosed := s.closed
@@ -121,7 +137,7 @@ func (s *Server) Close() {
 	if wasClosed {
 		return
 	}
-	s.adm.Stop()
+	s.inflight.Wait()
 	if s.cfg.Store != nil {
 		exp.ResultCache().SetBacking(nil)
 	}
@@ -249,18 +265,6 @@ func badRequest(w http.ResponseWriter, format string, args ...any) {
 	writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// clientID distinguishes clients for queue fairness: an explicit
-// X-DMP-Client header, else the connection's host.
-func clientID(r *http.Request) string {
-	if c := r.Header.Get("X-DMP-Client"); c != "" {
-		return c
-	}
-	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		return host
-	}
-	return r.RemoteAddr
-}
-
 func decodeStrict(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -370,37 +374,60 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// admit takes an admission token without blocking, failing once the
+// server is closed or maxRunning+maxQueued requests are in flight.
+func (s *Server) admit() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	select {
+	case s.admitted <- struct{}{}:
+		s.inflight.Add(1)
+		return true
+	default:
+		return false
+	}
+}
+
 // submit runs the admission + registry + wait/async dance shared by the
 // POST endpoints. fn returns the result fields to merge into the final
-// status (Stats or Tables); its error marks the run failed.
+// status (Stats or Tables); its error marks the run failed. A ?wait=1
+// run leaves the registry when it completes: its client gets the result
+// in the response. An async (202) run stays pollable by id.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, fn func(*telemetry.Span) (*RunStatus, error)) {
-	ru := s.newRun(kind)
-	id := ru.snapshot().ID
-	err := s.adm.Submit(clientID(r), func() {
-		s.execute(ru, fn)
-	})
-	if err != nil {
-		s.dropRun(id)
-		retry := int(math.Ceil(s.adm.RetryAfter().Seconds()))
-		if retry < 1 {
-			retry = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
+	if !s.admit() {
+		mShed.Inc()
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "overloaded, retry later"})
 		return
 	}
 	mRequests.Inc()
-	if wait := r.URL.Query().Get("wait"); wait == "1" || wait == "true" {
-		select {
-		case <-ru.done:
-			writeJSON(w, http.StatusOK, ru.snapshot())
-		case <-r.Context().Done():
-			// Client went away; the run finishes anyway and stays
-			// queryable by id.
+	wait := r.URL.Query().Get("wait")
+	blocking := wait == "1" || wait == "true"
+	ru := s.newRun(kind)
+	go func() {
+		defer s.inflight.Done()
+		s.running <- struct{}{}
+		s.execute(ru, fn)
+		<-s.running
+		<-s.admitted
+		if blocking {
+			s.dropRun(ru.snapshot().ID)
 		}
+		close(ru.done)
+	}()
+	if !blocking {
+		writeJSON(w, http.StatusAccepted, ru.snapshot())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, ru.snapshot())
+	select {
+	case <-ru.done:
+		writeJSON(w, http.StatusOK, ru.snapshot())
+	case <-r.Context().Done():
+		// Client went away; the run finishes anyway.
+	}
 }
 
 // execute runs one admitted request: status transitions, the telemetry
@@ -439,7 +466,6 @@ func (s *Server) execute(ru *run, fn func(*telemetry.Span) (*RunStatus, error)) 
 		mFailed.Inc()
 	}
 	telemetry.Emit(telemetry.Event{Kind: "request", Name: id, Msg: "done", V: elapsed})
-	close(ru.done)
 }
 
 // runExperiments mirrors dmpexp's concurrent launch: every experiment

@@ -10,9 +10,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dmp/internal/exp"
-	"dmp/internal/sched"
 	"dmp/internal/store"
 	"dmp/internal/telemetry"
 )
@@ -24,7 +24,7 @@ var (
 	testBenches = []string{"mcf", "twolf"}
 )
 
-func postJSON(t *testing.T, url, client string, body any) (*http.Response, RunStatus) {
+func postJSON(t *testing.T, url string, body any) (*http.Response, RunStatus) {
 	t.Helper()
 	data, err := json.Marshal(body)
 	if err != nil {
@@ -34,7 +34,6 @@ func postJSON(t *testing.T, url, client string, body any) (*http.Response, RunSt
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("X-DMP-Client", client)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -81,9 +80,9 @@ func TestWarmStoreServesWithoutSimulating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := New(Config{Store: st1, Admit: sched.AdmitOptions{MaxConcurrent: 4}})
+	srv1 := New(Config{Store: st1})
 	ts1 := httptest.NewServer(srv1)
-	resp, run1 := postJSON(t, ts1.URL+"/v1/experiments?wait=1", "warm-a", experimentsBody(testIDs, testBenches))
+	resp, run1 := postJSON(t, ts1.URL+"/v1/experiments?wait=1", experimentsBody(testIDs, testBenches))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp.StatusCode)
 	}
@@ -103,11 +102,11 @@ func TestWarmStoreServesWithoutSimulating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := New(Config{Store: st2, Admit: sched.AdmitOptions{MaxConcurrent: 4}})
+	srv2 := New(Config{Store: st2})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 	defer srv2.Close()
-	_, run2 := postJSON(t, ts2.URL+"/v1/experiments?wait=1", "warm-b", experimentsBody(testIDs, testBenches))
+	_, run2 := postJSON(t, ts2.URL+"/v1/experiments?wait=1", experimentsBody(testIDs, testBenches))
 	warm := tableTexts(t, run2)
 	if run2.Counts.Simulated != 0 {
 		t.Fatalf("warm-store run simulated %d times, want 0 (counts %+v)", run2.Counts.Simulated, run2.Counts)
@@ -158,7 +157,7 @@ func TestConcurrentClientsCoalesce(t *testing.T) {
 	}
 
 	exp.ResetResults()
-	srv := New(Config{Admit: sched.AdmitOptions{MaxConcurrent: 8, MaxQueuedPerClient: 2, MaxQueuedTotal: 32}})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
@@ -170,7 +169,7 @@ func TestConcurrentClientsCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, st := postJSON(t, ts.URL+"/v1/experiments?wait=1", fmt.Sprintf("client-%d", i),
+			resp, st := postJSON(t, ts.URL+"/v1/experiments?wait=1",
 				experimentsBody([]string{"table3"}, testBenches))
 			if resp.StatusCode != http.StatusOK {
 				errs[i] = fmt.Errorf("client %d: status %d", i, resp.StatusCode)
@@ -200,12 +199,12 @@ func TestConcurrentClientsCoalesce(t *testing.T) {
 // TestRunEndpoint covers the single-run path and its error statuses.
 func TestRunEndpoint(t *testing.T) {
 	exp.ResetResults()
-	srv := New(Config{Admit: sched.AdmitOptions{MaxConcurrent: 2}})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
 
-	resp, st := postJSON(t, ts.URL+"/v1/runs?wait=1", "run-a",
+	resp, st := postJSON(t, ts.URL+"/v1/runs?wait=1",
 		map[string]any{"bench": "mcf", "mode": "enhanced", "scale": 1})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp.StatusCode)
@@ -215,7 +214,7 @@ func TestRunEndpoint(t *testing.T) {
 	}
 
 	// A repeat is a cache hit, not a new simulation.
-	resp2, st2 := postJSON(t, ts.URL+"/v1/runs?wait=1", "run-a",
+	resp2, st2 := postJSON(t, ts.URL+"/v1/runs?wait=1",
 		map[string]any{"bench": "mcf", "mode": "enhanced", "scale": 1})
 	if resp2.StatusCode != http.StatusOK || st2.Counts.Simulated != 0 {
 		t.Fatalf("repeat run: status %d counts %+v, want 200 and 0 simulated", resp2.StatusCode, st2.Counts)
@@ -230,7 +229,7 @@ func TestRunEndpoint(t *testing.T) {
 		"missing bench": {"mode": "dmp"},
 		"unknown field": {"bench": "mcf", "turbo": true},
 	} {
-		resp, _ := postJSON(t, ts.URL+"/v1/runs?wait=1", "run-a", body)
+		resp, _ := postJSON(t, ts.URL+"/v1/runs?wait=1", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
@@ -246,15 +245,15 @@ func TestRunEndpoint(t *testing.T) {
 	}
 }
 
-// TestClosedServerSheds pins the deterministic 429 path: a stopped
-// admitter refuses every submission with Retry-After set.
+// TestClosedServerSheds pins the deterministic 429 path: a closed
+// server refuses every submission with Retry-After set.
 func TestClosedServerSheds(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	srv.Close()
 
-	resp, _ := postJSON(t, ts.URL+"/v1/runs?wait=1", "shed-a", map[string]any{"bench": "mcf"})
+	resp, _ := postJSON(t, ts.URL+"/v1/runs?wait=1", map[string]any{"bench": "mcf"})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
@@ -262,6 +261,195 @@ func TestClosedServerSheds(t *testing.T) {
 	if err != nil || retry < 1 {
 		t.Fatalf("Retry-After %q, want a positive integer", resp.Header.Get("Retry-After"))
 	}
+}
+
+// holdRun admits an async request whose job reports its name on
+// started and then blocks until release is called. Release also runs
+// at test cleanup, ahead of any srv.Close cleanup registered earlier,
+// so a failing test cannot leave Close waiting on a held job.
+func holdRun(t *testing.T, srv *Server, name string, started chan<- string) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	release = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	rec := httptest.NewRecorder()
+	srv.submit(rec, httptest.NewRequest("POST", "/v1/runs", nil), "run", func(*telemetry.Span) (*RunStatus, error) {
+		started <- name
+		<-gate
+		return &RunStatus{}, nil
+	})
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("%s: status %d, want 202", name, rec.Code)
+	}
+	return release
+}
+
+func shedCount() uint64 {
+	for _, c := range telemetry.DefaultRegistry().Snapshot().Counters {
+		if c.Name == "dmp_sched_shed_total" {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+// TestOverloadSheds fills the admission bound — one request running,
+// one waiting — and checks that the next POST is refused with 429, an
+// integer Retry-After, and one more shed count, and that the waiting
+// request runs only after the running one finishes.
+func TestOverloadSheds(t *testing.T) {
+	srv := New(Config{})
+	srv.admitted = make(chan struct{}, 2)
+	srv.running = make(chan struct{}, 1)
+	t.Cleanup(srv.Close)
+
+	started := make(chan string, 2)
+	releaseA := holdRun(t, srv, "a", started)
+	if got := <-started; got != "a" {
+		t.Fatalf("first started %q, want a", got)
+	}
+	releaseB := holdRun(t, srv, "b", started)
+	select {
+	case got := <-started:
+		t.Fatalf("%s started while a held the only running slot", got)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	shed := shedCount()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/runs?wait=1", strings.NewReader(`{"bench":"mcf"}`)))
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429", rec.Code)
+	}
+	retry, err := strconv.Atoi(rec.Header().Get("Retry-After"))
+	if err != nil || retry < 1 {
+		t.Fatalf("Retry-After %q, want an integer >= 1", rec.Header().Get("Retry-After"))
+	}
+	if d := shedCount() - shed; d != 1 {
+		t.Fatalf("dmp_sched_shed_total rose by %d, want 1", d)
+	}
+
+	releaseA()
+	if got := <-started; got != "b" {
+		t.Fatalf("second started %q, want b", got)
+	}
+	releaseB()
+}
+
+// TestCloseDrainsAdmitted checks that Close refuses new requests at
+// once but returns only after an admitted, still-running request has
+// finished.
+func TestCloseDrainsAdmitted(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	started := make(chan string, 1)
+	release := holdRun(t, srv, "a", started)
+	<-started
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+
+	// Wait until Close has stopped admission (readyz turns 503).
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never reported shutting down")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	resp, _ := postJSON(t, ts.URL+"/v1/runs?wait=1", map[string]any{"bench": "mcf"})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("POST during Close: status %d, want 429", resp.StatusCode)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an admitted request was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	release()
+	<-closed
+	st := srv.lookup("r000001").snapshot()
+	if st.State != "done" {
+		t.Fatalf("admitted run state %q after Close, want done", st.State)
+	}
+}
+
+// TestWaitRunLeavesRegistry checks that a completed ?wait=1 run is not
+// retained (its client already holds the result), while an async run
+// stays pollable by id.
+func TestWaitRunLeavesRegistry(t *testing.T) {
+	exp.ResetResults()
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Close()
+
+	resp, _ := postJSON(t, ts.URL+"/v1/runs?wait=1", map[string]any{"bench": "mcf", "scale": 1})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	srv.mu.Lock()
+	n := len(srv.runs)
+	srv.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("registry holds %d runs after a wait=1 request, want 0", n)
+	}
+
+	resp, st := postJSON(t, ts.URL+"/v1/runs", map[string]any{"bench": "mcf", "scale": 1})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async status %d, want 202", resp.StatusCode)
+	}
+	<-srv.lookup(st.ID).done
+	poll, err := http.Get(ts.URL + "/v1/runs/" + st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poll.Body.Close()
+	if poll.StatusCode != http.StatusOK {
+		t.Fatalf("polling a completed async run: status %d, want 200", poll.StatusCode)
+	}
+}
+
+// FuzzServeRequest throws arbitrary bodies at both POST endpoints of a
+// closed server: malformed requests must be rejected with 400 and valid
+// ones stop at admission with 429 — never a panic, a 5xx, or a
+// simulation.
+func FuzzServeRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"bench":"mcf","mode":"enhanced","scale":1}`,
+		`{"ids":["table3"],"benchmarks":["mcf"],"scale":1}`,
+		``,
+		`{`,
+		`null`,
+		`{"bench":"mcf","turbo":true}`,
+		`{"ids":["nope"],"bench":"gen:x"}`,
+	} {
+		f.Add(body)
+	}
+	srv := New(Config{})
+	srv.Close()
+	f.Fuzz(func(t *testing.T, body string) {
+		for _, path := range []string{"/v1/runs?wait=1", "/v1/experiments?wait=1"} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+			if rec.Code != http.StatusBadRequest && rec.Code != http.StatusTooManyRequests {
+				t.Fatalf("POST %s %q: status %d, want 400 or 429", path, body, rec.Code)
+			}
+		}
+	})
 }
 
 // TestSSEEvents streams a run's event feed: initial status, at least
@@ -273,12 +461,12 @@ func TestSSEEvents(t *testing.T) {
 	telemetry.Enable(tel)
 	defer telemetry.Enable(nil)
 
-	srv := New(Config{Admit: sched.AdmitOptions{MaxConcurrent: 2}})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
 
-	resp, st := postJSON(t, ts.URL+"/v1/runs", "sse-a", map[string]any{"bench": "twolf", "scale": 1})
+	resp, st := postJSON(t, ts.URL+"/v1/runs", map[string]any{"bench": "twolf", "scale": 1})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status %d, want 202", resp.StatusCode)
 	}
