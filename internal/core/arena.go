@@ -15,7 +15,7 @@ import "sync"
 // On top of the slabs sits a free list fed by the squash paths that can
 // prove a uop is unreferenced:
 //
-//   - uops dropped from the front-end queue before rename (recycleFEQ).
+//   - uops dropped from the front-end queue before rename (dropFEQ).
 //     Pre-rename uops are referenced only by the queue itself — they have
 //     no waiters, no RAT entry, no ROB/ready/replay/event slot and no
 //     store-buffer entry, all of which are established at rename or
@@ -102,14 +102,26 @@ func (a *uopArena) recycle(u *uop) {
 }
 
 // recycleFEQ returns a uop dropped from the front-end queue to the free
-// list. The caller guarantees the uop never renamed; the arena re-checks
-// the one pre-rename escape hatch (an episode's diverge branch) and the
-// rename flag itself, declining rather than corrupting live state.
-func (a *uopArena) recycleFEQ(u *uop) {
+// list and reports whether it took it. The caller guarantees the uop
+// never renamed; the arena re-checks the one pre-rename escape hatch (an
+// episode's diverge branch) and the rename flag itself, declining rather
+// than corrupting live state.
+func (a *uopArena) recycleFEQ(u *uop) bool {
 	if u.renamed || u.isDiverge {
-		return
+		return false
 	}
 	a.recycle(u)
+	return true
+}
+
+// dropFEQ recycles a uop dropped from the front-end queue, salvaging its
+// fetch snapshot when the arena takes the uop (a pre-rename uop has no
+// RAT checkpoint yet, and the snapshot is referenced by this uop alone).
+func (m *Machine) dropFEQ(u *uop) {
+	snap := u.fetchSnap
+	if m.arena.recycleFEQ(u) && snap != nil {
+		m.snapPool = append(m.snapPool, snap)
+	}
 }
 
 // recycleSquashed returns a flush-squashed uop's storage to the arena,

@@ -46,16 +46,18 @@ func (m *Machine) maybeFork(u *uop) bool {
 
 	// The forked (alternate) stream starts at the other target with the
 	// other history bit and a copy of the RAS.
-	m.streams[1] = streamCtx{
+	c := &m.streams[1]
+	*c = streamCtx{
 		active: true,
 		pc:     ep.altStartPC,
 		ghr:    u.fetchGHR.Push(!u.predictedTaken),
-		ras:    m.ras.Snapshot(),
+		ras:    c.ras, // keep the backing array SnapshotInto refills
 	}
+	m.ras.SnapshotInto(&c.ras)
 	m.dualActive = true
 	m.fetchStream = 0
 	m.oracleStream = 0
-	if u.oracleHasStep && u.oracleTaken != u.predictedTaken {
+	if u.onPath && u.oracleTaken != u.predictedTaken {
 		// The forked stream is the correct path: put the oracle at its
 		// first instruction (the state right after the fork branch).
 		if m.oracle.rewindTo(u.oracleCount) {
@@ -111,14 +113,17 @@ func (m *Machine) streamHalted(s int) bool {
 
 // swapInStream loads a stream's fetch context into the machine's global
 // fetch registers. Stream 0 *is* the global context; stream 1 is stored
-// in streams[1].
+// in streams[1]. Both streams' RAS copies reuse their backing arrays:
+// dual-path mode swaps every other cycle.
 func (m *Machine) swapInStream(s int) {
 	m.fetchStream = s
 	if s == 0 {
 		return
 	}
-	m.streams[0] = streamCtx{pc: m.fetchPC, ghr: m.fetchGHR, ras: m.ras.Snapshot(), halted: m.fetchHalted}
-	c := m.streams[1]
+	c0 := &m.streams[0]
+	c0.pc, c0.ghr, c0.halted = m.fetchPC, m.fetchGHR, m.fetchHalted
+	m.ras.SnapshotInto(&c0.ras)
+	c := &m.streams[1]
 	m.fetchPC, m.fetchGHR, m.fetchHalted = c.pc, c.ghr, c.halted
 	m.ras.Restore(c.ras)
 }
@@ -128,9 +133,10 @@ func (m *Machine) swapOutStream(s int) {
 		m.fetchStream = 0
 		return
 	}
-	m.streams[1].pc, m.streams[1].ghr, m.streams[1].halted = m.fetchPC, m.fetchGHR, m.fetchHalted
-	m.streams[1].ras = m.ras.Snapshot()
-	c := m.streams[0]
+	c1 := &m.streams[1]
+	c1.pc, c1.ghr, c1.halted = m.fetchPC, m.fetchGHR, m.fetchHalted
+	m.ras.SnapshotInto(&c1.ras)
+	c := &m.streams[0]
 	m.fetchPC, m.fetchGHR, m.fetchHalted = c.pc, c.ghr, c.halted
 	m.ras.Restore(c.ras)
 	m.fetchStream = 0
@@ -156,7 +162,7 @@ func (m *Machine) resolveFork(u *uop, ep *episode) {
 			if m.probe != nil {
 				m.probeUop(StageSquash, q)
 			}
-			m.arena.recycleFEQ(q)
+			m.dropFEQ(q)
 			continue
 		}
 		kept = append(kept, q)
@@ -207,7 +213,7 @@ func (m *Machine) conservativeDualAbort(u *uop, ep *episode) {
 			if m.probe != nil {
 				m.probeUop(StageSquash, q)
 			}
-			m.arena.recycleFEQ(q)
+			m.dropFEQ(q)
 			continue
 		}
 		kept = append(kept, q)
@@ -221,7 +227,7 @@ func (m *Machine) conservativeDualAbort(u *uop, ep *episode) {
 	m.streams[1] = streamCtx{}
 	m.dualActive = false
 	m.fetchStream = 0
-	if m.oracleStream == 1 && ep.divergeU.oracleHasStep {
+	if m.oracleStream == 1 && ep.divergeU.onPath {
 		// The oracle followed the (correct) forked stream we just
 		// killed: park it at the fork point; the fork branch's eventual
 		// misprediction flush resumes it.

@@ -195,7 +195,13 @@ func (m *Machine) completeStage() {
 			}
 			m.enqueueReady(w.u)
 		}
-		u.waiters = nil
+		if w := u.waiters; cap(w) > 0 {
+			// A completed producer never gains waiters again: its list
+			// goes back to the pool operandFrom draws from.
+			clear(w)
+			m.waiterPool = append(m.waiterPool, w[:0])
+			u.waiters = nil
+		}
 		if u.kind == kindInst && u.inst.IsControl() && u.inst.Op != isa.HALT {
 			m.resolveControl(u)
 		}
@@ -349,7 +355,7 @@ func (m *Machine) dropEpisodeAltFromFEQ(ep *episode) {
 			if m.probe != nil {
 				m.probeUop(StageSquash, q)
 			}
-			m.arena.recycleFEQ(q)
+			m.dropFEQ(q)
 			continue
 		}
 		kept = append(kept, q)
@@ -399,7 +405,7 @@ func (m *Machine) recoverFrom(b *uop) {
 		// Pre-rename uops are unreferenced outside the queue; the arena
 		// declines diverge branches, whose episodes (torn down just
 		// below) still read divergeU.seq.
-		m.arena.recycleFEQ(q)
+		m.dropFEQ(q)
 	}
 	m.feq = m.feq[:0]
 
@@ -463,7 +469,7 @@ func (m *Machine) recoverFrom(b *uop) {
 	// redirect target — regardless of whether the oracle is currently
 	// paused there or ahead of it (it may have executed post-CFM or
 	// post-fork work this flush just squashed).
-	if b.oracleHasStep && m.oracle.rewindTo(b.oracleCount) {
+	if b.onPath && m.oracle.rewindTo(b.oracleCount) {
 		m.closeWP()
 	}
 

@@ -216,17 +216,17 @@ func (m *Machine) fetchOne() (redirected, isCond bool) {
 
 // stepOracle offers the fetched instruction to the fetch oracle and
 // records on-path/wrong-path bookkeeping.
+//
+//dmp:hotpath
 func (m *Machine) stepOracle(u *uop) {
 	if m.dualActive && u.stream != m.oracleStream {
 		// The oracle follows only the stream it knows to be correct.
 		return
 	}
 	wasOn := m.oracle.onPath
-	if st, ok := m.oracle.stepIfAt(u); ok {
+	if taken, ok := m.oracle.stepIfAt(u); ok {
 		u.onPath = true
-		u.oracleHasStep = true
-		u.oracleTaken = st.Taken
-		u.oracleNext = st.NextPC
+		u.oracleTaken = taken
 		u.oracleCount = m.oracle.em.Count
 		m.feedWPWatchers(u.pc)
 	} else if wasOn && !m.oracle.onPath {
@@ -247,7 +247,7 @@ func (m *Machine) stepOracle(u *uop) {
 func (m *Machine) fetchBranch(u *uop) bool {
 	in := u.inst
 	taken := m.pred.Predict(u.pc, m.fetchGHR)
-	if m.cfg.Mode == ModePerfect && u.oracleHasStep {
+	if m.cfg.Mode == ModePerfect && u.onPath {
 		taken = u.oracleTaken
 	}
 	u.predictedTaken = taken
@@ -257,7 +257,7 @@ func (m *Machine) fetchBranch(u *uop) bool {
 		u.predictedNext = u.pc + 1
 	}
 	u.lowConf = m.lowConfidence(u)
-	if u.lowConf && u.oracleHasStep {
+	if u.lowConf && u.onPath {
 		if u.predictedTaken == u.oracleTaken {
 			m.Stats.LowConfCorrect++
 		} else {
@@ -286,7 +286,7 @@ func (m *Machine) fetchBranch(u *uop) bool {
 // perfect confidence) for a fetched conditional branch.
 func (m *Machine) lowConfidence(u *uop) bool {
 	if m.cfg.ConfidenceName == "perfect" {
-		return u.oracleHasStep && u.predictedTaken != u.oracleTaken
+		return u.onPath && u.predictedTaken != u.oracleTaken
 	}
 	return m.confEst.LowConfidence(u.pc, u.fetchGHR)
 }
@@ -453,7 +453,7 @@ func (m *Machine) switchToAlternate(ep *episode) {
 	// both the usual case, where the oracle paused there when the wrong
 	// predicted path was fetched, and the empty-predicted-path case,
 	// where it never diverged at all.)
-	if ep.divergeU.oracleHasStep && ep.divergeU.oracleTaken != ep.predictedTaken {
+	if ep.divergeU.onPath && ep.divergeU.oracleTaken != ep.predictedTaken {
 		if m.oracle.rewindTo(ep.divergeU.oracleCount) {
 			m.closeWP()
 		}
@@ -508,7 +508,7 @@ func (m *Machine) earlyExit(ep *episode) {
 	m.fetchGHR = ep.ghrAtCFM
 	m.ras.Restore(ep.rasAtCFM)
 	m.fetchHalted = false
-	if ep.divergeU.oracleHasStep && ep.divergeU.oracleTaken != ep.predictedTaken {
+	if ep.divergeU.onPath && ep.divergeU.oracleTaken != ep.predictedTaken {
 		// The diverge branch is actually mispredicted, so the oracle was
 		// following (or waiting at) the alternate path we just abandoned.
 		// Park it at the alternate start; the eventual misprediction
@@ -547,7 +547,7 @@ func (m *Machine) killEpisodeAssumePredicted(ep *episode) {
 				if m.probe != nil {
 					m.probeUop(StageSquash, q)
 				}
-				m.arena.recycleFEQ(q)
+				m.dropFEQ(q)
 				continue
 			}
 			kept = append(kept, q)
@@ -588,7 +588,7 @@ func (m *Machine) emitMarker(kind uopKind, ep *episode) {
 //dmp:hotpath
 func (m *Machine) pushUop(u *uop) {
 	u.renameAt = m.cycle + uint64(m.cfg.frontEndDelay())
-	m.feq = append(m.feq, u)
+	m.feq = pushFIFO(&m.feqBuf, m.feq, u)
 	if m.probe != nil {
 		m.probeUop(StageFetch, u)
 	}
@@ -629,21 +629,29 @@ func (m *Machine) openWP() {
 		m.wpOpen = e
 		return
 	}
-	m.wpOpen = &wpEpisode{id: m.wpNextID, firstSeen: map[uint64]int{}, split: -1}
+	m.wpOpen = &wpEpisode{id: m.wpNextID, gen: 1, split: -1}
 }
 
-// recycleWP resets a finished episode for reuse, keeping the PC log's
-// capacity and the map's buckets (episodes are opened at every oracle
-// pause, so fresh allocations here add up).
+// recycleWP resets a finished episode for reuse, keeping its first-seen
+// table: bumping the generation empties it (episodes are opened at every
+// oracle pause, so fresh tables here add up).
 func (m *Machine) recycleWP(e *wpEpisode) {
-	e.pcs = e.pcs[:0]
-	clear(e.firstSeen)
+	e.n = 0
+	e.gen++
+	if e.gen == 0 {
+		// Generation wrap: a stale entry could otherwise alias a
+		// four-billion-episodes-old one. Clear and restart at 1.
+		clear(e.first)
+		e.gen = 1
+	}
 	e.split = -1
 	e.watchLeft = 0
 	m.wpPool = append(m.wpPool, e)
 }
 
 // recordWrongFetch logs a wrong-path fetched PC into the open episode.
+//
+//dmp:hotpath
 func (m *Machine) recordWrongFetch(pc uint64) {
 	e := m.wpOpen
 	if e == nil {
@@ -652,10 +660,28 @@ func (m *Machine) recordWrongFetch(pc uint64) {
 		m.openWP()
 		e = m.wpOpen
 	}
-	if _, ok := e.firstSeen[pc]; !ok {
-		e.firstSeen[pc] = len(e.pcs)
+	if pc < uint64(len(e.first)) || m.growWP(e, pc) {
+		if f := &e.first[pc]; f.gen != e.gen {
+			*f = wpFirst{gen: e.gen, idx: e.n}
+		}
 	}
-	e.pcs = append(e.pcs, pc)
+	e.n++
+}
+
+// growWP extends e's first-seen table to cover pc and reports whether pc
+// is indexable. The table spans the code image; a wrong-path PC outside
+// it is counted but never indexed, since no correct-path PC can equal it.
+// Without a program (classifier unit tests) the table grows on demand.
+func (m *Machine) growWP(e *wpEpisode, pc uint64) bool {
+	size := pc + 1
+	if m.prog != nil {
+		if !m.prog.InCode(pc) {
+			return false
+		}
+		size = uint64(m.prog.Len())
+	}
+	e.first = append(e.first, make([]wpFirst, size-uint64(len(e.first)))...)
+	return true
 }
 
 // closeWP ends the open wrong-path episode (the oracle resumed); the
@@ -674,7 +700,7 @@ func (m *Machine) closeWP() {
 	}
 	e := m.wpOpen
 	m.wpOpen = nil
-	if len(e.pcs) == 0 {
+	if e.n == 0 {
 		m.recycleWP(e)
 		return
 	}
@@ -685,14 +711,18 @@ func (m *Machine) closeWP() {
 // feedWPWatchers gives a correct-path fetched PC to all watching
 // episodes: the first wrong-path occurrence of a correct-path PC marks
 // the start of the control-independent portion of that wrong path.
+//
+//dmp:hotpath
 func (m *Machine) feedWPWatchers(pc uint64) {
 	if len(m.wpWatching) == 0 {
 		return
 	}
 	kept := m.wpWatching[:0]
 	for _, e := range m.wpWatching {
-		if idx, ok := e.firstSeen[pc]; ok && (e.split == -1 || idx < e.split) {
-			e.split = idx
+		if pc < uint64(len(e.first)) {
+			if f := e.first[pc]; f.gen == e.gen && (e.split == -1 || f.idx < e.split) {
+				e.split = f.idx
+			}
 		}
 		e.watchLeft--
 		if e.watchLeft <= 0 || e.split == 0 {
@@ -708,11 +738,11 @@ func (m *Machine) feedWPWatchers(pc uint64) {
 // finishWP accounts a finished wrong-path episode into Figure-1 counters.
 func (m *Machine) finishWP(e *wpEpisode) {
 	if e.split < 0 {
-		m.Stats.FetchedWrongCD += uint64(len(e.pcs))
+		m.Stats.FetchedWrongCD += uint64(e.n)
 		return
 	}
 	m.Stats.FetchedWrongCD += uint64(e.split)
-	m.Stats.FetchedWrongCI += uint64(len(e.pcs) - e.split)
+	m.Stats.FetchedWrongCI += uint64(e.n - e.split)
 }
 
 // flushWPAll finalizes all outstanding wrong-path episodes (end of run).
@@ -720,7 +750,7 @@ func (m *Machine) flushWPAll() {
 	if m.wpOpen != nil {
 		e := m.wpOpen
 		m.wpOpen = nil
-		if len(e.pcs) > 0 {
+		if e.n > 0 {
 			m.finishWP(e)
 		}
 	}

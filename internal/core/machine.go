@@ -39,6 +39,7 @@ type Machine struct {
 	arena           uopArena
 	snapPool        []*fetchSnapshot // salvaged from squashed control uops
 	ckptPool        []*ratCheckpoint // salvaged from squashed branches
+	waiterPool      [][]waiter       // emptied waiter lists of completed uops
 	cycle           uint64
 	seq             uint64
 	fetchPC         uint64
@@ -47,9 +48,10 @@ type Machine struct {
 	fetchHalted     bool
 	feq             []*uop // front-end delay queue (fetch -> rename)
 	rob             []*uop
+	feqBuf, robBuf  []*uop // backing arrays of feq and rob (pushFIFO)
 	readyQ          []*uop
 	events          eventHeap
-	sb              []*sbEntry
+	sb              []*uop // store buffer (lsq.go)
 	replayLoads     []*uop
 
 	// Rename state.
@@ -86,7 +88,7 @@ type Machine struct {
 	// Wrong-path classification (Figure 1).
 	wpOpen     *wpEpisode
 	wpWatching []*wpEpisode
-	wpPool     []*wpEpisode // finished episodes, PC log and map kept for reuse
+	wpPool     []*wpEpisode // finished episodes, first-seen tables kept for reuse
 	wpNextID   int
 
 	// traceWP, when set, is called on oracle pause/resume (debugging).
@@ -121,7 +123,6 @@ type streamCtx struct {
 	ghr    bpred.GHR
 	ras    bpred.RASState
 	halted bool
-	rat    *rat // rename-side RAT for this stream (dual mode only)
 }
 
 // selReq is one pending select-uop insertion.
@@ -132,13 +133,24 @@ type selReq struct {
 }
 
 // wpEpisode tracks one wrong-path fetch episode for control-independence
-// classification.
+// classification. It keeps only the count of wrong-path fetches and, per
+// in-image PC, the fetch index of its first occurrence: first is a dense
+// table indexed by PC whose entries count only while their stamp equals
+// gen, so recycling the episode empties it in O(1) by bumping gen (the
+// stamped-filter idea of internal/merge).
 type wpEpisode struct {
 	id        int
-	pcs       []uint64       // wrong-path PCs in fetch order
-	firstSeen map[uint64]int // pc -> first index in pcs
+	n         int // wrong-path PCs fetched so far
+	gen       uint32
+	first     []wpFirst
 	watchLeft int
 	split     int // index where control-independence starts (-1 unknown)
+}
+
+// wpFirst is one stamped entry of wpEpisode.first.
+type wpFirst struct {
+	gen uint32
+	idx int // first fetch index of the PC in the episode
 }
 
 // New builds a machine for p under cfg. The program must already carry
@@ -393,6 +405,23 @@ func (m *Machine) enqueueReady(u *uop) {
 	}
 	u.inReady = true
 	m.readyQ = insertBySeq(m.readyQ, u)
+}
+
+// pushFIFO appends u to q, a queue popped from the front by reslicing
+// (q = q[1:]) that lives in the backing array *buf. When q has drifted to
+// the end of *buf, its entries slide back to the start rather than append
+// growing a fresh array each time, so the ROB and the fetch queue recycle
+// one array each; *buf doubles only when q fills half of it.
+func pushFIFO(buf *[]*uop, q []*uop, u *uop) []*uop {
+	if len(q) == cap(q) {
+		b := (*buf)[:cap(*buf)]
+		if 2*len(q) >= len(b) {
+			b = make([]*uop, 2*len(q)+64)
+			*buf = b
+		}
+		q = b[:copy(b, q)]
+	}
+	return append(q, u)
 }
 
 // insertBySeq inserts u into the seq-ascending slice q, shifting from the

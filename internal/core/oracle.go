@@ -13,22 +13,24 @@ import (
 // wrong side of a dynamically predicated branch) the oracle pauses at the
 // divergence point.
 //
-// Re-synchronisation relies on the emulator's rolling history window:
+// Re-synchronisation relies on the emulator's undo log (emu.History):
 // every oracle-executed instruction records its architectural step count
 // on the uop (uop.oracleCount), and whenever a flush (or a dynamic
 // predication transition) moves fetch back to the correct continuation of
 // an oracle-executed instruction, the oracle rewinds to exactly that
-// step. Retirement trims the window, which therefore never grows beyond
-// the instruction window.
+// step, undoing the steps after it newest first. Rewind targets are
+// in-flight instructions, so a rewind costs at most the instruction
+// window; retirement trims the log, which therefore never grows beyond
+// that window either.
 //
-// The oracle provides: perfect conditional branch prediction
-// (ModePerfect), perfect confidence estimation (low-confidence exactly
-// when mispredicted), and the correct-path/wrong-path labelling behind
-// Figure 1.
+// Fetch reads only the branch outcome from each oracle step (stepIfAt);
+// the step record itself never leaves the oracle. The oracle provides
+// perfect conditional branch prediction (ModePerfect), perfect confidence
+// estimation (low-confidence exactly when mispredicted), and the
+// correct-path/wrong-path labelling behind Figure 1.
 type fetchOracle struct {
-	em      *emu.Emulator
-	onPath  bool
-	lastSeq uint64 // seq of the youngest uop the oracle executed
+	em     *emu.Emulator
+	onPath bool
 }
 
 func newFetchOracle(p *prog.Program) *fetchOracle {
@@ -47,26 +49,26 @@ func newFetchOracleFrom(em *emu.Emulator) *fetchOracle {
 }
 
 // stepIfAt executes the instruction the uop was fetched from, if the
-// oracle is in lockstep and agrees on the PC. It returns the
-// architectural step and whether the oracle executed it. A PC mismatch
-// while in lockstep means fetch has just diverged: the oracle pauses.
-func (o *fetchOracle) stepIfAt(u *uop) (emu.Step, bool) {
+// oracle is in lockstep and agrees on the PC. It returns the one fact
+// fetch reads from the step — the branch outcome — and whether the
+// oracle executed it. A PC mismatch while in lockstep means fetch has
+// just diverged: the oracle pauses.
+func (o *fetchOracle) stepIfAt(u *uop) (taken, ok bool) {
 	if !o.onPath || o.em.Halted {
-		return emu.Step{}, false
+		return false, false
 	}
 	if o.em.PC != u.pc {
 		o.onPath = false
-		return emu.Step{}, false
+		return false, false
 	}
 	s, err := o.em.Step()
 	if err != nil {
 		// The oracle only steps in-image instructions; a failure here is
 		// a simulator bug surfaced as a paused oracle.
 		o.onPath = false
-		return emu.Step{}, false
+		return false, false
 	}
-	o.lastSeq = u.seq
-	return s, true
+	return s.Taken, true
 }
 
 // waitingAt reports whether the oracle is paused exactly at pc.

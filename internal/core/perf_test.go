@@ -3,7 +3,11 @@ package core
 import (
 	"container/heap"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"dmp/internal/isa"
+	"dmp/internal/prog"
 )
 
 // --- eventHeap: the typed heap must replicate container/heap exactly ---
@@ -121,6 +125,43 @@ func TestArenaRecyclesOnlySafeUops(t *testing.T) {
 	}
 }
 
+// A flush drops every front-end-queue uop; each non-diverge control uop
+// among them returns its fetch snapshot (and the snapshot's RAS backing
+// array) to the pool instead of leaving it to the garbage collector.
+func TestFlushSalvagesFEQSnapshots(t *testing.T) {
+	m, err := New(prog.MustAssemble("halt"), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := m.arena.alloc() // the mispredicted branch, already in the ROB
+	b.seq, b.renamed, b.inst = m.nextSeq(), true, isa.Inst{Op: isa.JR}
+	b.fetchSnap = m.snapFetch()
+	m.rob = append(m.rob, b)
+	const n = 5
+	for i := 0; i < n+2; i++ {
+		q := m.arena.alloc()
+		q.seq, q.inst = m.nextSeq(), isa.Inst{Op: isa.BR}
+		if i < n {
+			q.fetchSnap = m.snapFetch()
+		}
+		if i == n+1 {
+			// A diverge branch stays on its slab, snapshot included: its
+			// episode may still read it.
+			q.isDiverge = true
+			q.fetchSnap = m.snapFetch()
+		}
+		m.feq = append(m.feq, q)
+	}
+	before := len(m.snapPool)
+	m.recoverFrom(b)
+	if got := len(m.snapPool) - before; got != n {
+		t.Errorf("flush salvaged %d fetch snapshots from the queue, want %d", got, n)
+	}
+	if len(m.feq) != 0 {
+		t.Errorf("front-end queue holds %d uops after the flush", len(m.feq))
+	}
+}
+
 func TestArenaAllocCrossesChunks(t *testing.T) {
 	var a uopArena
 	seen := make(map[*uop]bool)
@@ -187,5 +228,50 @@ func BenchmarkInsertBySeq(b *testing.B) {
 		if len(q) == cap(q) {
 			q = q[:0]
 		}
+	}
+}
+
+// TestRunAllocsPerUop pins the per-fetched-uop heap allocation rate of
+// a whole run: uops come from recycled slabs, and fetch snapshots, RAT
+// checkpoints, waiter lists, oracle undo records and wrong-path episode
+// tables from per-machine pools, so a steady-state run allocates almost
+// nothing per uop. The second of two identical runs is measured, after
+// the first has warmed the process-wide slab pool.
+func TestRunAllocsPerUop(t *testing.T) {
+	p := profiled(t, mustProg(randomHammockProg(20000)))
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		max  float64
+	}{
+		{"baseline", DefaultConfig(), 0.10},
+		{"enhanced", EnhancedDMPConfig(), 0.25},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.CheckRetirement = false
+			run := func() *Stats {
+				m, err := New(p, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := m.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			run()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			st := run()
+			runtime.ReadMemStats(&after)
+			perUop := float64(after.Mallocs-before.Mallocs) / float64(st.FetchedUops)
+			t.Logf("%d mallocs over %d fetched uops = %.3f per uop",
+				after.Mallocs-before.Mallocs, st.FetchedUops, perUop)
+			if perUop >= tc.max {
+				t.Errorf("%.3f heap allocations per fetched uop, want < %.2f", perUop, tc.max)
+			}
+		})
 	}
 }

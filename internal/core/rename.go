@@ -144,7 +144,7 @@ func (m *Machine) renameOne(u *uop) {
 func (m *Machine) finishMarker(u *uop) {
 	u.done = true
 	m.Stats.ExecutedMarkers++
-	m.rob = append(m.rob, u)
+	m.rob = pushFIFO(&m.robBuf, m.rob, u)
 	if m.probe != nil {
 		m.probeUop(StageComplete, u)
 	}
@@ -195,7 +195,7 @@ func (m *Machine) renameInst(u *uop) {
 		m.sbAlloc(u)
 	}
 
-	m.rob = append(m.rob, u)
+	m.rob = pushFIFO(&m.robBuf, m.rob, u)
 	m.enqueueReady(u)
 }
 
@@ -203,7 +203,10 @@ func (m *Machine) renameInst(u *uop) {
 func (m *Machine) regIdx(r isa.Reg) int { return int(r) % isa.NumRegs }
 
 // operandFrom renames one source operand from a RAT entry, registering
-// the consumer with the producer if the value is not ready yet.
+// the consumer with the producer if the value is not ready yet. A
+// producer's first waiter takes a list recycled from a completed uop.
+//
+//dmp:hotpath
 func (m *Machine) operandFrom(e ratEntry, u *uop, which int, reg isa.Reg) operand {
 	if reg == isa.Zero {
 		return operand{ready: true}
@@ -219,6 +222,12 @@ func (m *Machine) operandFrom(e ratEntry, u *uop, which int, reg isa.Reg) operan
 	}
 	if e.u.done {
 		return operand{ready: true, val: e.u.dstVal}
+	}
+	if cap(e.u.waiters) == 0 {
+		if n := len(m.waiterPool); n > 0 {
+			e.u.waiters = m.waiterPool[n-1]
+			m.waiterPool = m.waiterPool[:n-1]
+		}
 	}
 	e.u.waiters = append(e.u.waiters, waiter{u: u, which: which})
 	return operand{producer: e.u.seq}
@@ -275,7 +284,7 @@ func (m *Machine) insertSelect(req selReq) {
 	su.src2 = operand{ready: true}
 	su.src3 = m.operandFrom(req.fromRAT, su, 3, req.reg)
 	m.rat.e[req.reg] = ratEntry{u: su}
-	m.rob = append(m.rob, su)
+	m.rob = pushFIFO(&m.robBuf, m.rob, su)
 	m.preds.await(su.selPred, su)
 	m.enqueueReady(su)
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dmp/internal/prog"
 )
 
 // TestStatsClone pins that Clone detaches completely: mutating the clone
@@ -355,6 +357,58 @@ func TestWPClassifierNoReconvergence(t *testing.T) {
 	m.flushWPAll()
 	if m.Stats.FetchedWrongCD != 3 || m.Stats.FetchedWrongCI != 0 {
 		t.Errorf("CD=%d CI=%d, want 3/0", m.Stats.FetchedWrongCD, m.Stats.FetchedWrongCI)
+	}
+}
+
+// A wrong-path PC outside the code image is counted as control-dependent
+// but never indexed: no correct-path PC can equal it, so it can never
+// mark the start of a control-independent tail.
+func TestWPClassifierOutOfImagePC(t *testing.T) {
+	m := &Machine{prog: prog.MustAssemble("nop\nnop\nnop\nhalt")}
+	m.openWP()
+	for _, pc := range []uint64{1, 1 << 40, 2} {
+		m.recordWrongFetch(pc)
+	}
+	e := m.wpOpen
+	if len(e.first) != m.prog.Len() {
+		t.Errorf("first-seen table spans %d PCs, want the %d-instruction image", len(e.first), m.prog.Len())
+	}
+	m.closeWP()
+	m.feedWPWatchers(2) // first seen at index 2: indices 0 and 1 stay CD
+	m.flushWPAll()
+	if m.Stats.FetchedWrongCD != 2 || m.Stats.FetchedWrongCI != 1 {
+		t.Errorf("CD=%d CI=%d, want 2/1", m.Stats.FetchedWrongCD, m.Stats.FetchedWrongCI)
+	}
+}
+
+// Two episodes back to back share one pooled entry; the second must not
+// see the first's PCs (the generation stamp empties the table on reuse).
+func TestWPClassifierPooledEpisodeForgets(t *testing.T) {
+	m := &Machine{}
+	m.openWP()
+	first := m.wpOpen
+	for _, pc := range []uint64{10, 11, 12} {
+		m.recordWrongFetch(pc)
+	}
+	m.closeWP()
+	m.feedWPWatchers(10) // reconverges at index 0: all three CI, episode recycled
+	if m.Stats.FetchedWrongCI != 3 || len(m.wpPool) != 1 {
+		t.Fatalf("first episode: CI=%d pool=%d, want 3/1", m.Stats.FetchedWrongCI, len(m.wpPool))
+	}
+
+	m.openWP()
+	if m.wpOpen != first {
+		t.Fatal("second episode did not reuse the pooled entry")
+	}
+	for _, pc := range []uint64{20, 21, 22} {
+		m.recordWrongFetch(pc)
+	}
+	m.closeWP()
+	m.feedWPWatchers(10) // the first episode's PC: must not match
+	m.feedWPWatchers(21) // first seen at index 1
+	m.flushWPAll()
+	if m.Stats.FetchedWrongCD != 1 || m.Stats.FetchedWrongCI != 3+2 {
+		t.Errorf("CD=%d CI=%d, want 1/5", m.Stats.FetchedWrongCD, m.Stats.FetchedWrongCI)
 	}
 }
 

@@ -47,12 +47,12 @@ type operand struct {
 
 // uop is one entry of the machine's instruction window: a fetched
 // instruction or inserted predication uop, carried from fetch to
-// retirement.
+// retirement. Every fetched uop is zeroed on alloc or recycle, so the
+// flags are packed together at the end to keep the struct small.
 type uop struct {
 	seq  uint64 // global age; also the rename tag of the destination
 	pc   uint64
 	inst isa.Inst
-	kind uopKind
 
 	// Renamed sources. src3 is used only by select-uops (the second data
 	// input; src1/src2 convention: src1 = predicated-path value, src2 is
@@ -60,19 +60,8 @@ type uop struct {
 	src1, src2, src3 operand
 	numSrc           int
 
-	// Destination.
-	hasDst  bool
-	dstArch isa.Reg
-	dstVal  uint64
-
-	// Scheduling state.
+	dstVal   uint64
 	renameAt uint64 // earliest cycle this uop may rename (front-end delay)
-	renamed  bool
-	issued   bool
-	done     bool
-	squashed bool   // killed by a pipeline flush; never retires
-	inReady  bool   // currently queued in the ready list
-	inReplay bool   // load parked for store-buffer replay
 	sqBy     uint64 // debug: seq of the flush point that squashed this uop
 	sqAt     uint64 // debug: cycle of the squash
 	sqHow    string // debug: which mechanism squashed it
@@ -83,38 +72,18 @@ type uop struct {
 
 	// Dynamic predication.
 	ep      *episode // episode this uop belongs to (nil outside DP mode)
-	onAlt   bool     // fetched on the alternate path of its episode
 	predID  int      // predicate register id (0 = not predicated)
 	selPred int      // select-uop: predicate id it muxes on
 
 	// Branch state (conditional and other control).
-	predictedTaken bool
-	predictedNext  uint64 // predicted next fetch PC
-	actualTaken    bool
-	actualNext     uint64
-	resolved       bool
-	mispredicted   bool
-	isDiverge      bool // fetched as a dynamically predicated diverge branch
-	dpConverted    bool // diverge reverted to a normal branch (early exit / MDB)
-	lowConf        bool
-	fetchGHR       bpred.GHR // speculative GHR *before* this branch's prediction
-	fetchSnap      *fetchSnapshot
-	checkpoint     *ratCheckpoint
+	predictedNext uint64    // predicted next fetch PC
+	actualNext    uint64    // resolved next PC
+	fetchGHR      bpred.GHR // speculative GHR *before* this branch's prediction
+	fetchSnap     *fetchSnapshot
+	checkpoint    *ratCheckpoint
 
-	// Memory state.
-	isLoad, isStore bool
-	addr            uint64
-	addrValid       bool
-	sbIndex         int // store-buffer slot for stores
-	memLat          int
-
-	// Oracle bookkeeping (statistics and perfect prediction/confidence).
-	onPath        bool // fetched while the oracle was in lockstep
-	wpEpisode     int  // wrong-path episode id (0 = none)
-	oracleTaken   bool // oracle outcome, valid for on-path branches
-	oracleNext    uint64
-	oracleHasStep bool
-	oracleCount   uint64 // architectural step count after the oracle ran it
+	addr        uint64 // memory address (loads and stores)
+	oracleCount uint64 // oracle: architectural step count after it ran this uop
 
 	// Dual path.
 	stream int // 0 = primary, 1 = forked stream
@@ -123,6 +92,37 @@ type uop struct {
 	// probe event for this uop (0 = none yet). Unlike seq it is never
 	// shared between uops.
 	obsID uint64
+
+	kind uopKind
+
+	// Destination.
+	hasDst  bool
+	dstArch isa.Reg
+
+	// Scheduling state.
+	renamed  bool
+	issued   bool
+	done     bool
+	squashed bool // killed by a pipeline flush; never retires
+	inReady  bool // currently queued in the ready list
+	inReplay bool // load parked for store-buffer replay
+
+	onAlt bool // fetched on the alternate path of its episode
+
+	predictedTaken bool
+	actualTaken    bool
+	resolved       bool
+	mispredicted   bool
+	isDiverge      bool // fetched as a dynamically predicated diverge branch
+	dpConverted    bool // diverge reverted to a normal branch (early exit / MDB)
+	lowConf        bool
+
+	isLoad, isStore bool
+	addrValid       bool
+
+	// Oracle bookkeeping (statistics and perfect prediction/confidence).
+	onPath      bool // fetched while the oracle was in lockstep: the oracle executed it
+	oracleTaken bool // oracle outcome, valid for on-path branches
 }
 
 // waiter records a consumer waiting on a producer's completion.

@@ -82,14 +82,32 @@ func (e *Emulator) setReg(r isa.Reg, v uint64) {
 // past a HALT or outside the code image returns an error: the golden
 // model must never run wild, so this is a hard failure for the caller.
 func (e *Emulator) Step() (Step, error) {
+	var s Step
+	err := e.step(&s)
+	return s, err
+}
+
+// step executes one instruction, filling in *s, which must be zero on
+// entry (left partial on error). Step is a small inlinable wrapper around
+// it, so callers build the record in their own frame instead of copying
+// it out of this one.
+func (e *Emulator) step(s *Step) error {
 	if e.Halted {
-		return Step{}, fmt.Errorf("emu: step after halt")
+		return fmt.Errorf("emu: step after halt")
 	}
 	if !e.Prog.InCode(e.PC) {
-		return Step{}, fmt.Errorf("emu: pc %d outside code image", e.PC)
+		return fmt.Errorf("emu: pc %d outside code image", e.PC)
 	}
 	in := e.Prog.Code[e.PC]
-	s := Step{PC: e.PC, Inst: in, NextPC: e.PC + 1}
+	s.PC, s.Inst, s.NextPC = e.PC, in, e.PC+1
+	var undo histRec
+	if e.hist != nil {
+		undo = histRec{pc: e.PC, nwr: uint32(len(e.hist.wr))}
+		if in.HasDst() {
+			undo.reg = in.Dst
+		}
+		undo.old = e.Regs[undo.reg]
+	}
 
 	switch {
 	case in.IsALU():
@@ -137,15 +155,15 @@ func (e *Emulator) Step() (Step, error) {
 	case in.Op == isa.NOP:
 		// nothing
 	default:
-		return Step{}, fmt.Errorf("emu: pc %d: unimplemented op %v", e.PC, in.Op)
+		return fmt.Errorf("emu: pc %d: unimplemented op %v", e.PC, in.Op)
 	}
 
 	e.PC = s.NextPC
 	e.Count++
 	if e.hist != nil {
-		e.hist.marks = append(e.hist.marks, e.markNow())
+		e.hist.recs = append(e.hist.recs, undo)
 	}
-	return s, nil
+	return nil
 }
 
 // Excursion speculatively executes from pc for up to max instructions

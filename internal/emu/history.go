@@ -6,29 +6,36 @@ import (
 	"dmp/internal/isa"
 )
 
-// History is a rolling undo window over an emulator's recent steps: a
-// register/PC snapshot per executed instruction plus an undo log of
-// memory writes, trimmed from the front as the consumer's retirement
-// frontier advances.
+// History is a rolling undo log over an emulator's recent steps, trimmed
+// from the front as the consumer's retirement frontier advances.
+//
+// Each executed instruction appends one small undo record: the PC it ran
+// at, the destination register it overwrote and that register's old
+// value, and how many memory writes had been logged before it. Stores
+// additionally log the word they overwrote. RewindTo replays the records
+// newest first, so a rewind costs O(steps undone) and a step costs one
+// 24-byte append instead of a copy of the register file.
 //
 // The fetch oracle uses it to rewind to the architectural state
 // immediately after any in-flight instruction: when a pipeline flush
 // squashes fetched work the oracle had already executed, the machine
 // rewinds the oracle to the flushing branch and both are exactly in
 // lockstep again. The window never needs to reach behind retirement
-// (retired instructions cannot be squashed), which bounds its size by
-// the instruction window.
+// (retired instructions cannot be squashed), which bounds its size, and
+// every rewind distance, by the instruction window.
 type History struct {
-	base  uint64 // step count of marks[0]
-	marks []histMark
-	wr    []histWrite
+	base uint64    // step count of the oldest rewindable point (Count - len(recs))
+	recs []histRec // recs[i] undoes step base+i+1
+	wr   []histWrite
 }
 
-type histMark struct {
-	regs   [isa.NumRegs]uint64
-	pc     uint64
-	halted bool
-	nwr    int // total memory writes recorded up to and including this step
+// histRec undoes one step. Only a HALT sets Halted and nothing steps
+// after it, so undoing any step also clears Halted.
+type histRec struct {
+	pc  uint64  // PC before the step
+	old uint64  // Regs[reg] before the step (rewriting it is a no-op when reg was not written)
+	nwr uint32  // memory writes logged before the step
+	reg isa.Reg // destination register the step wrote (Zero = none)
 }
 
 type histWrite struct {
@@ -39,15 +46,6 @@ type histWrite struct {
 // state becomes the oldest rewindable point.
 func (e *Emulator) EnableHistory() {
 	e.hist = &History{base: e.Count}
-	e.hist.marks = append(e.hist.marks, e.markNow())
-}
-
-func (e *Emulator) markNow() histMark {
-	m := histMark{regs: e.Regs, pc: e.PC, halted: e.Halted}
-	if e.hist != nil {
-		m.nwr = len(e.hist.wr)
-	}
-	return m
 }
 
 // RewindTo restores the emulator to its state immediately after step
@@ -61,15 +59,23 @@ func (e *Emulator) RewindTo(count uint64) error {
 		return fmt.Errorf("emu: RewindTo(%d) outside window [%d, %d]", count, h.base, e.Count)
 	}
 	idx := int(count - h.base)
-	m := h.marks[idx]
-	// Undo memory writes performed after the mark, newest first.
-	for i := len(h.wr) - 1; i >= m.nwr; i-- {
+	if idx == len(h.recs) {
+		return nil
+	}
+	for i := len(h.recs) - 1; i >= idx; i-- {
+		r := &h.recs[i]
+		e.Regs[r.reg] = r.old
+	}
+	nwr := int(h.recs[idx].nwr)
+	// Undo memory writes performed after the target, newest first.
+	for i := len(h.wr) - 1; i >= nwr; i-- {
 		e.Mem.Write(h.wr[i].addr, h.wr[i].old)
 	}
-	h.wr = h.wr[:m.nwr]
-	h.marks = h.marks[:idx+1]
-	e.Regs, e.PC, e.Halted = m.regs, m.pc, m.halted
+	e.PC = h.recs[idx].pc
+	e.Halted = false
 	e.Count = count
+	h.wr = h.wr[:nwr]
+	h.recs = h.recs[:idx]
 	return nil
 }
 
@@ -85,14 +91,17 @@ func (e *Emulator) TrimHistory(count uint64) {
 		count = e.Count
 	}
 	idx := int(count - h.base)
-	keep := h.marks[idx].nwr
+	keep := len(h.wr)
+	if idx < len(h.recs) {
+		keep = int(h.recs[idx].nwr)
+	}
 	// Compact in place; the slices stay amortised O(1) per step.
 	h.wr = append(h.wr[:0], h.wr[keep:]...)
-	for i := range h.marks[idx:] {
-		h.marks[i] = h.marks[idx+i]
-		h.marks[i].nwr -= keep
+	n := copy(h.recs, h.recs[idx:])
+	h.recs = h.recs[:n]
+	for i := range h.recs {
+		h.recs[i].nwr -= uint32(keep)
 	}
-	h.marks = h.marks[:len(h.marks)-idx]
 	h.base = count
 }
 
@@ -101,5 +110,5 @@ func (e *Emulator) HistoryLen() int {
 	if e.hist == nil {
 		return 0
 	}
-	return len(e.hist.marks) - 1
+	return len(e.hist.recs)
 }

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -170,5 +171,98 @@ func TestHistoryQuickRewindReplay(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: any interleaving of Step, RewindTo and TrimHistory leaves the
+// emulator exactly where a fresh emulator replayed to the same count
+// would be — registers, PC, count, halt flag and every word the program
+// stores to — with a window spanning exactly the steps since the last
+// trim. Runs go to and past the halt (a step there must fail without
+// effect), and rewinds cross back over it.
+func TestHistoryQuickInterleaved(t *testing.T) {
+	p := historyProg()
+	// The loop stores to 0x4000 + 8*(r1 & 255).
+	probe := func(e *Emulator) (m [256]uint64) {
+		for i := range m {
+			m[i] = e.Mem.Read(0x4000 + 8*uint64(i))
+		}
+		return m
+	}
+	crossings := 0 // rewinds from a halted emulator, over all runs
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := New(p)
+		e.EnableHistory()
+		base := uint64(0) // oldest rewindable count
+		for op := 0; op < 80; op++ {
+			switch r := rng.Intn(10); {
+			case r < 5: // step a burst, possibly into and past the halt
+				for n := rng.Intn(120); n > 0; n-- {
+					if e.Halted {
+						before := e.Count
+						if _, err := e.Step(); err == nil || e.Count != before {
+							t.Logf("seed %d: step past halt succeeded", seed)
+							return false
+						}
+						break
+					}
+					if _, err := e.Step(); err != nil {
+						t.Logf("seed %d: step: %v", seed, err)
+						return false
+					}
+				}
+			case r < 8: // rewind somewhere inside the window
+				target := base + uint64(rng.Int63n(int64(e.Count-base)+1))
+				wasHalted := e.Halted
+				if err := e.RewindTo(target); err != nil {
+					t.Logf("seed %d: RewindTo(%d): %v", seed, target, err)
+					return false
+				}
+				if wasHalted && !e.Halted {
+					crossings++
+				}
+				ref := New(p)
+				for ref.Count < target {
+					if _, err := ref.Step(); err != nil {
+						t.Logf("seed %d: replay: %v", seed, err)
+						return false
+					}
+				}
+				if e.Regs != ref.Regs || e.PC != ref.PC || e.Count != ref.Count || e.Halted != ref.Halted {
+					t.Logf("seed %d: rewind to %d: pc=%d count=%d halted=%v, replay pc=%d count=%d halted=%v",
+						seed, target, e.PC, e.Count, e.Halted, ref.PC, ref.Count, ref.Halted)
+					return false
+				}
+				if probe(e) != probe(ref) {
+					t.Logf("seed %d: rewind to %d: memory differs from replay", seed, target)
+					return false
+				}
+				if got, want := e.HistoryLen(), int(e.Count-base); got != want {
+					t.Logf("seed %d: window %d after rewind, want %d", seed, got, want)
+					return false
+				}
+			default: // trim, sometimes past Count (clamped)
+				to := base + uint64(rng.Int63n(int64(e.Count-base)+8))
+				e.TrimHistory(to)
+				if to > e.Count {
+					to = e.Count
+				}
+				if to > base {
+					base = to
+				}
+				if got, want := e.HistoryLen(), int(e.Count-base); got != want {
+					t.Logf("seed %d: window %d after TrimHistory(%d), want %d", seed, got, to, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+	if crossings == 0 {
+		t.Error("no run rewound across the halt; the property never exercised it")
 	}
 }
