@@ -23,7 +23,6 @@ import (
 	"dmp/internal/core"
 	"dmp/internal/emu"
 	"dmp/internal/exp"
-	"dmp/internal/obs"
 	"dmp/internal/profile"
 	"dmp/internal/telemetry"
 	"dmp/internal/workload"
@@ -328,14 +327,14 @@ func BenchmarkProfilePass(b *testing.B) {
 	}
 }
 
-// BenchmarkObserverOverhead pins the cost of the internal/obs probe
-// layer on the hottest configuration (enhanced DMP, every hook site
-// live). "disabled" is the shipping default — probe nil, every hook
-// site a single pointer compare — and must stay within noise (<2%,
+// BenchmarkObserverOverhead pins the cost of the internal/telemetry
+// probe sinks on the hottest configuration (enhanced DMP, every hook
+// site live). "disabled" is the shipping default — probe nil, every
+// hook site a single pointer compare — and must stay within noise (<2%,
 // recorded in BENCH_obs.json) of the tree before the probe layer
 // existed. "attached" runs every sink at once (pipetrace, episode
-// timeline, interval sampler, heartbeat) into io.Discard and bounds
-// the price of turning observability on.
+// timeline, interval sampler, progress probe) into io.Discard and
+// bounds the price of turning observability on.
 func BenchmarkObserverOverhead(b *testing.B) {
 	p, err := exp.Annotated("mcf", 1)
 	if err != nil {
@@ -360,11 +359,11 @@ func BenchmarkObserverOverhead(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) { run(b, nil) })
 	b.Run("attached", func(b *testing.B) {
 		run(b, func() *core.Probe {
-			return obs.Tee(
-				obs.NewPipetrace(io.Discard, obs.FormatText).Probe(),
-				obs.NewEpisodeLog(io.Discard).Probe(),
-				obs.NewIntervalSampler(io.Discard, 10000).Probe(),
-				obs.NewHeartbeat(io.Discard, time.Hour).Probe(),
+			return telemetry.Tee(
+				telemetry.NewPipetrace(io.Discard, telemetry.FormatText).Probe(),
+				telemetry.NewEpisodeLog(io.Discard).Probe(),
+				telemetry.NewIntervalSampler(io.Discard, 10000).Probe(),
+				telemetry.ProgressProbe(telemetry.NewFeed(io.Discard), time.Hour),
 			)
 		})
 	})
@@ -398,7 +397,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			}
 			if attach {
 				o.Span.End()
-				if _, err := set.Close(); err != nil {
+				if err := set.Close(); err != nil {
 					b.Fatal(err)
 				}
 				telemetry.Enable(nil)

@@ -26,26 +26,26 @@
 // scale, check) pair exactly once, and a global worker pool (-parallel,
 // default NumCPU) bounds the simulations in flight across every
 // experiment. Tables print to stdout in the requested order regardless of
-// completion order; per-experiment timing and the cache hit/miss summary
-// go to stderr so stdout stays byte-stable for golden diffs.
+// completion order. Progress goes to stderr so stdout stays byte-stable
+// for golden diffs: on a terminal one repainted line (experiments
+// done, result-cache hits and misses, the current experiment), on a
+// pipe one line per finished experiment with its time, then the cache
+// summary.
 //
 // -remote URL sends the request to a dmpserve daemon instead of
 // simulating locally: tables stream back byte-identical to a local run
 // (golden diffs hold either way), and the stderr summary reports the
 // daemon's result-cache delta — including store hits, simulations the
 // daemon's persistent store answered from disk. Local-only flags
-// (-lint, -sample-*, -telemetry*) are rejected with -remote.
+// (-lint, -sample-*, -telemetry-out) are rejected with -remote.
 //
-// -telemetry attaches the host-side telemetry layer (internal/telemetry):
-// a live single-line progress renderer on stderr (cache hits/misses,
-// experiments completed) replaces the per-experiment timing lines, and
-// scheduler/result-cache/sampling metrics are collected process-wide.
-// -telemetry-out DIR (implies -telemetry) additionally records the
-// artifacts: spans.json (Chrome trace of suite → experiment → simulation
-// → sample-pipeline stages, Perfetto-loadable), events.jsonl (the
-// structured progress feed), and metrics.json/metrics.prom (final metric
-// snapshot). Validate and summarize with dmpobs -telemetry DIR. Attached
-// telemetry never perturbs results — stdout stays golden-identical.
+// -telemetry-out DIR records the host telemetry artifacts
+// (internal/telemetry): spans.json (Chrome trace of suite → experiment →
+// simulation → sample-pipeline stages, Perfetto-loadable), events.jsonl
+// (the lifecycle feed), and metrics.json/metrics.prom (the final
+// scheduler, result-cache and sampling metrics). Validate and summarize
+// with dmpobs -telemetry DIR. Telemetry never perturbs results — stdout
+// stays golden-identical.
 package main
 
 import (
@@ -60,7 +60,6 @@ import (
 
 	"dmp/internal/exp"
 	"dmp/internal/lint"
-	"dmp/internal/obs"
 	"dmp/internal/prog"
 	"dmp/internal/telemetry"
 	"dmp/internal/workload"
@@ -94,12 +93,11 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a host heap profile to this file at exit")
 		exectrace  = flag.String("trace", "", "write a host runtime execution trace to this file")
 
-		telemetryOn  = flag.Bool("telemetry", false, "attach host-side telemetry: live progress line, metrics, spans")
-		telemetryOut = flag.String("telemetry-out", "", "record telemetry artifacts (spans.json, events.jsonl, metrics.json/.prom) in this directory; implies -telemetry")
+		telemetryOut = flag.String("telemetry-out", "", "record telemetry artifacts (spans.json, events.jsonl, metrics.json/.prom) in this directory")
 	)
 	flag.Parse()
 
-	stopProfiles, err := obs.StartHostProfiles(*cpuprofile, *memprofile, *exectrace)
+	stopProfiles, err := telemetry.StartHostProfiles(*cpuprofile, *memprofile, *exectrace)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dmpexp: profiling: %v\n", err)
 		os.Exit(1) // nothing started; nothing to stop
@@ -143,8 +141,8 @@ func main() {
 		// Everything below runs simulations (or inspects local telemetry)
 		// on this host; the remote path delegates all of it to the daemon.
 		if *doLint || *sampleJSON != "" || *sampleGate != 0 || *samplePer != 0 || *sampleIvl != 0 ||
-			*sampleWarm != 0 || *sampleWM != "" || *telemetryOn || *telemetryOut != "" {
-			fmt.Fprintln(os.Stderr, "dmpexp: -lint, -sample-* and -telemetry* are local-only; drop them with -remote")
+			*sampleWarm != 0 || *sampleWM != "" || *telemetryOut != "" {
+			fmt.Fprintln(os.Stderr, "dmpexp: -lint, -sample-* and -telemetry-out are local-only; drop them with -remote")
 			exit(2)
 		}
 		exit(runRemote(*remote, ids, opts))
@@ -196,37 +194,16 @@ func main() {
 		}
 	}
 
-	// Telemetry attach: the Set is process-global (Enable), so the result
-	// cache, worker pool, sampling pipeline and differential harness all
-	// report into it without plumbing. With it on, the structured feed
-	// (and its live progress line) replaces the ad-hoc per-experiment
-	// stderr timing lines; stdout is untouched either way.
-	var (
-		tel      *telemetry.Set
-		progress *telemetry.Progress
-		rootSpan *telemetry.Span
-	)
-	if *telemetryOut != "" {
-		*telemetryOn = true
+	// The Set is process-global (Enable), so the result cache, worker
+	// pool, sampling pipeline and differential harness all report into
+	// it without plumbing; its feed drives the stderr progress.
+	tel, err := telemetry.Attach(*telemetryOut, "dmpexp",
+		fmt.Sprintf("scale %d, %s", opts.Scale, strings.Join(ids, " ")))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dmpexp: telemetry: %v\n", err)
+		exit(1)
 	}
-	if *telemetryOn {
-		if *telemetryOut != "" {
-			var terr error
-			tel, terr = telemetry.OpenDir(*telemetryOut)
-			if terr != nil {
-				fmt.Fprintf(os.Stderr, "dmpexp: telemetry: %v\n", terr)
-				exit(1)
-			}
-		} else {
-			tel = telemetry.New(telemetry.Options{})
-		}
-		progress = telemetry.NewProgress(os.Stderr, telemetry.IsTerminal(os.Stderr))
-		tel.Feed().Subscribe(progress.Event)
-		telemetry.Enable(tel)
-		rootSpan = tel.Tracer().Begin("dmpexp", "exp")
-		tel.Feed().Emit(telemetry.Event{Kind: "run-start", Name: "dmpexp",
-			Msg: fmt.Sprintf("scale %d, %s", opts.Scale, strings.Join(ids, " "))})
-	}
+	tel.Render(os.Stderr)
 
 	type result struct {
 		table   *exp.Table
@@ -248,12 +225,9 @@ func main() {
 			defer close(r.done)
 			t0 := time.Now()
 			o := opts
-			var sp *telemetry.Span
-			if tel != nil {
-				sp = rootSpan.ChildAsync(id, "exp")
-				o.Span = sp
-				tel.Feed().Emit(telemetry.Event{Kind: "experiment", Name: id, Msg: "start"})
-			}
+			sp := tel.Root().ChildAsync(id, "exp")
+			o.Span = sp
+			tel.Feed().Emit(telemetry.Event{Kind: "experiment", Name: id, Msg: "start"})
 			if id == "sampling" && needRep {
 				r.table, sampleRep, r.err = exp.SamplingReport(o)
 			} else {
@@ -261,9 +235,7 @@ func main() {
 			}
 			r.elapsed = time.Since(t0)
 			sp.End()
-			if tel != nil {
-				tel.Feed().Emit(telemetry.Event{Kind: "experiment", Name: id, Msg: "done", V: r.elapsed.Seconds()})
-			}
+			tel.Feed().Emit(telemetry.Event{Kind: "experiment", Name: id, Msg: "done", V: r.elapsed.Seconds()})
 		}(id, r)
 	}
 
@@ -282,31 +254,11 @@ func main() {
 		}
 		fmt.Print(r.table.String())
 		fmt.Println()
-		if tel != nil {
-			// The feed (and its progress line) carries what the ad-hoc
-			// stderr timing line used to; a metrics delta per presented
-			// experiment gives the event stream checkpoints dmpobs can sum.
-			tel.Feed().Emit(telemetry.Event{Kind: "progress",
-				N: uint64(i + 1), V: float64(len(ids)), Msg: id})
-			tel.EmitMetrics()
-		} else {
-			fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", id, r.elapsed.Seconds())
-		}
+		tel.Feed().Emit(telemetry.Event{Kind: "progress", N: uint64(i + 1), V: float64(len(ids)),
+			Msg: fmt.Sprintf("%s in %.1fs", id, r.elapsed.Seconds())})
 	}
-	if tel != nil {
-		tel.Feed().Emit(telemetry.Event{Kind: "run-end", V: time.Since(start).Seconds()})
-		rootSpan.End()
-		snap, terr := tel.Close()
-		progress.Finish()
-		telemetry.Enable(nil)
-		if terr != nil {
-			fmt.Fprintf(os.Stderr, "dmpexp: telemetry: %v\n", terr)
-		}
-		if *telemetryOut != "" {
-			if err := telemetry.WriteMetricsDir(*telemetryOut, snap); err != nil {
-				fmt.Fprintf(os.Stderr, "dmpexp: telemetry: %v\n", err)
-			}
-		}
+	if err := tel.Finish(); err != nil {
+		fmt.Fprintf(os.Stderr, "dmpexp: telemetry: %v\n", err)
 	}
 	hits, misses := exp.SimCounts()
 	fmt.Fprintf(os.Stderr, "total %.1fs; result cache: %d simulations, %d reused\n",

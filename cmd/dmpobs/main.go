@@ -11,16 +11,18 @@
 // per-event totals, the Table-1 exit-case breakdown, mean alternate-path
 // fetch length, mean enter-to-resolve episode duration, and the fetch
 // oracle's pause/resume counts. -validate parses a Chrome trace_event
-// file (dmpsim -pipetrace foo.json) and reports the event count,
-// exiting nonzero if the JSON is malformed. -manifest checks a sampled
-// run's interval manifest (dmpsim -sample-manifest) for internal
-// consistency — interval count, detailed-instruction accounting,
-// per-interval IPC arithmetic, monotonic interval placement — and prints
-// a summary, exiting nonzero on any violation. -telemetry checks the
-// artifact directory a dmpexp/dmpsim -telemetry-out run records: span
-// nesting in spans.json is well-formed, the event stream in
-// events.jsonl is properly framed, and the streamed metrics deltas fold
-// back into exactly the finals in metrics.json.
+// file (dmpsim -pipetrace foo.json) with the same reader -telemetry
+// uses for spans.json and reports the event count, exiting nonzero if
+// the JSON is malformed or an event is not a named complete event with
+// a plausible window. -manifest checks a sampled run's interval
+// manifest (dmpsim -sample-manifest) for internal consistency —
+// interval count, detailed-instruction accounting, per-interval IPC
+// arithmetic, monotonic interval placement — and prints a summary,
+// exiting nonzero on any violation. -telemetry checks the artifact
+// directory a dmpexp/dmpsim/dmpserve -telemetry-out run records: span
+// nesting in spans.json is well-formed, events.jsonl is framed by one
+// run-start and one run-end, and metrics.json holds a non-empty
+// snapshot.
 package main
 
 import (
@@ -34,7 +36,7 @@ import (
 	"dmp/internal/sample"
 )
 
-// epLine mirrors the JSONL keys internal/obs.EpisodeLog writes. Oracle
+// epLine mirrors the JSONL keys internal/telemetry.EpisodeLog writes. Oracle
 // lines carry only cycle/event/steps; episode lines carry the rest.
 type epLine struct {
 	Cycle    uint64 `json:"cycle"`
@@ -164,23 +166,21 @@ func checkManifest(m *sample.Manifest) error {
 	return nil
 }
 
-// validateTrace unmarshals the whole trace as a JSON array and spot
-// checks that the events carry the trace_event fields Perfetto needs.
+// validateTrace reads a Chrome trace with the span reader and checks
+// that every event is a named complete event with a plausible window,
+// which is what Perfetto needs to draw it.
 func validateTrace(path string) error {
-	data, err := os.ReadFile(path)
+	evs, err := readSpans(path)
 	if err != nil {
 		return err
-	}
-	var evs []map[string]any
-	if err := json.Unmarshal(data, &evs); err != nil {
-		return fmt.Errorf("invalid Chrome trace JSON: %w", err)
 	}
 	if len(evs) == 0 {
 		return fmt.Errorf("trace is empty")
 	}
-	for _, k := range []string{"name", "ph", "ts", "pid", "tid"} {
-		if _, ok := evs[0][k]; !ok {
-			return fmt.Errorf("trace events missing %q field", k)
+	for i, e := range evs {
+		if e.Name == "" || e.Ph != "X" || e.TS < 0 || e.Dur <= 0 {
+			return fmt.Errorf("event %d: want a named complete event, got name %q ph %q ts %d dur %d",
+				i, e.Name, e.Ph, e.TS, e.Dur)
 		}
 	}
 	fmt.Printf("%s: valid Chrome trace, %d events\n", path, len(evs))

@@ -4,20 +4,19 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
 	"dmp/internal/telemetry"
 )
 
-// validateTelemetry cross-checks the artifacts a -telemetry-out run
-// records (dmpexp/dmpsim): spans.json must be a well-formed span forest
-// (unique nonzero ids, resolvable parents, same-lane children contained
-// in their parent's window), and the metrics deltas streamed into
-// events.jsonl must fold back — via Snapshot.Add — into exactly the
-// finals in metrics.json. The pieces are split out so each contract is
-// testable without a real run.
+// validateTelemetry checks the artifacts a -telemetry-out run records
+// (dmpexp, dmpsim, dmpserve): spans.json must be a well-formed span
+// forest (unique nonzero ids, resolvable parents, same-lane children
+// contained in their parent's window), events.jsonl must be framed by
+// exactly one run-start (first) and one run-end, and metrics.json must
+// decode as a non-empty snapshot. The pieces are split out so each
+// contract is testable without a real run.
 func validateTelemetry(dir string) error {
 	spans, err := readSpans(filepath.Join(dir, telemetry.SpansFile))
 	if err != nil {
@@ -39,31 +38,17 @@ func validateTelemetry(dir string) error {
 	if err != nil {
 		return err
 	}
-	folded, ok := foldMetricDeltas(evs)
-	if !ok {
-		return fmt.Errorf("%s: no metrics events to fold", telemetry.EventsFile)
-	}
-	if err := compareSnapshots(folded, final); err != nil {
-		return fmt.Errorf("folded event deltas vs %s: %w", telemetry.MetricsFile, err)
-	}
-	if err := checkStageEvents(evs, final); err != nil {
-		return fmt.Errorf("sample-stage events vs metrics: %w", err)
-	}
 
-	kinds := map[string]int{}
-	for _, e := range evs {
-		kinds[e.Kind]++
-	}
 	fmt.Printf("%s: consistent telemetry artifacts\n", dir)
-	fmt.Printf("  %d spans (nesting well-formed), %d events, %d metrics deltas fold to the recorded finals\n",
-		len(spans), len(evs), kinds["metrics"])
+	fmt.Printf("  %d spans (nesting well-formed), %d events (framed by run-start/run-end)\n", len(spans), len(evs))
 	fmt.Printf("  finals: %d counters, %d gauges, %d histograms\n",
 		len(final.Counters), len(final.Gauges), len(final.Histograms))
 	return nil
 }
 
 // traceSpan is one complete ("X") Chrome trace_event as
-// internal/telemetry's Tracer writes it; ID/Parent ride in args.
+// internal/telemetry writes it: the Tracer's spans carry ID/Parent in
+// args, a pipetrace's uops leave them zero.
 type traceSpan struct {
 	Name string `json:"name"`
 	Ph   string `json:"ph"`
@@ -196,26 +181,6 @@ func checkEventStream(evs []telemetry.Event) error {
 	return nil
 }
 
-// foldMetricDeltas folds every metrics event's delta snapshot, in
-// order, via Snapshot.Add. Counters and histograms accumulate; gauges
-// keep the latest reading — exactly inverting how the Set emitted them.
-func foldMetricDeltas(evs []telemetry.Event) (telemetry.Snapshot, bool) {
-	var folded telemetry.Snapshot
-	n := 0
-	for _, e := range evs {
-		if e.Kind != "metrics" || e.Metrics == nil {
-			continue
-		}
-		if n == 0 {
-			folded = *e.Metrics
-		} else {
-			folded = folded.Add(*e.Metrics)
-		}
-		n++
-	}
-	return folded, n > 0
-}
-
 func readMetrics(path string) (telemetry.Snapshot, error) {
 	var s telemetry.Snapshot
 	data, err := os.ReadFile(path)
@@ -225,93 +190,8 @@ func readMetrics(path string) (telemetry.Snapshot, error) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return s, fmt.Errorf("%s: invalid metrics JSON: %w", path, err)
 	}
+	if len(s.Counters)+len(s.Gauges)+len(s.Histograms) == 0 {
+		return s, fmt.Errorf("%s: no metrics recorded", path)
+	}
 	return s, nil
-}
-
-// sumTol bounds the float drift tolerated between an accumulated sum
-// and the final reading: deltas subtract and re-add float64 sums, so
-// the fold can differ from the final in the last few ulps.
-const sumTol = 1e-9
-
-func floatClose(a, b float64) bool {
-	return math.Abs(a-b) <= sumTol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
-
-// compareSnapshots checks that got (the folded deltas) reproduces want
-// (the recorded finals): counters, histogram buckets and counts
-// exactly; float sums within tolerance; gauges last-reading.
-func compareSnapshots(got, want telemetry.Snapshot) error {
-	if len(got.Counters) != len(want.Counters) || len(got.Gauges) != len(want.Gauges) ||
-		len(got.Histograms) != len(want.Histograms) {
-		return fmt.Errorf("shape mismatch: folded %d/%d/%d metrics, final %d/%d/%d",
-			len(got.Counters), len(got.Gauges), len(got.Histograms),
-			len(want.Counters), len(want.Gauges), len(want.Histograms))
-	}
-	for i, c := range want.Counters {
-		g := got.Counters[i]
-		if g.Name != c.Name || g.Value != c.Value {
-			return fmt.Errorf("counter %s: folded %d, final %d", c.Name, g.Value, c.Value)
-		}
-	}
-	for i, w := range want.Gauges {
-		g := got.Gauges[i]
-		if g.Name != w.Name || g.Value != w.Value {
-			return fmt.Errorf("gauge %s: folded last reading %d, final %d", w.Name, g.Value, w.Value)
-		}
-	}
-	for i, w := range want.Histograms {
-		g := got.Histograms[i]
-		if g.Name != w.Name || g.Count != w.Count {
-			return fmt.Errorf("histogram %s: folded count %d, final %d", w.Name, g.Count, w.Count)
-		}
-		if len(g.Buckets) != len(w.Buckets) {
-			return fmt.Errorf("histogram %s: folded %d buckets, final %d", w.Name, len(g.Buckets), len(w.Buckets))
-		}
-		for j := range w.Buckets {
-			if g.Buckets[j] != w.Buckets[j] {
-				return fmt.Errorf("histogram %s bucket %d: folded %d, final %d", w.Name, j, g.Buckets[j], w.Buckets[j])
-			}
-		}
-		if !floatClose(g.Sum, w.Sum) {
-			return fmt.Errorf("histogram %s: folded sum %g, final %g", w.Name, g.Sum, w.Sum)
-		}
-	}
-	return nil
-}
-
-// checkStageEvents cross-checks the per-stage sample-pipeline events
-// against the dmp_sample_*_seconds histograms: every stage's event
-// count must equal the histogram's observation count and the event
-// values must sum to the histogram's sum. The two are written by
-// independent code paths (feed emission vs atomic observation), so
-// agreement means the sampling telemetry is internally consistent.
-// Runs without sampling have neither and pass vacuously.
-func checkStageEvents(evs []telemetry.Event, final telemetry.Snapshot) error {
-	sums := map[string]float64{}
-	counts := map[string]uint64{}
-	for _, e := range evs {
-		if e.Kind != "sample-stage" {
-			continue
-		}
-		sums[e.Name] += e.V
-		counts[e.Name]++
-	}
-	hists := map[string]telemetry.HistogramVal{}
-	for _, h := range final.Histograms {
-		hists[h.Name] = h
-	}
-	for stage, n := range counts {
-		name := "dmp_sample_" + stage + "_seconds"
-		h, ok := hists[name]
-		if !ok {
-			return fmt.Errorf("stage %q events but no histogram %s", stage, name)
-		}
-		if h.Count != n {
-			return fmt.Errorf("stage %q: %d events, histogram count %d", stage, n, h.Count)
-		}
-		if !floatClose(sums[stage], h.Sum) {
-			return fmt.Errorf("stage %q: event sum %g, histogram sum %g", stage, sums[stage], h.Sum)
-		}
-	}
-	return nil
 }

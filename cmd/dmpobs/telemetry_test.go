@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -62,7 +64,7 @@ func goodEvents() []telemetry.Event {
 	return []telemetry.Event{
 		{T: 0, Kind: "run-start", Name: "test"},
 		{T: 0.5, Kind: "simulation", Name: "mcf/DMP", Msg: "miss"},
-		{T: 1.0, Kind: "metrics", Metrics: &telemetry.Snapshot{}},
+		{T: 1.0, Kind: "progress", N: 1, V: 2, Msg: "fig7"},
 		{T: 1.5, Kind: "run-end"},
 	}
 }
@@ -98,105 +100,57 @@ func TestCheckEventStream(t *testing.T) {
 	}
 }
 
-func TestFoldAndCompare(t *testing.T) {
-	d1 := telemetry.Snapshot{
-		Counters:   []telemetry.CounterVal{{Name: "c", Value: 3}},
-		Gauges:     []telemetry.GaugeVal{{Name: "g", Value: 7}},
-		Histograms: []telemetry.HistogramVal{{Name: "h", Bounds: []float64{1, 5}, Buckets: []uint64{1, 0}, Count: 1, Sum: 0.5}},
-	}
-	d2 := telemetry.Snapshot{
-		Counters:   []telemetry.CounterVal{{Name: "c", Value: 2}},
-		Gauges:     []telemetry.GaugeVal{{Name: "g", Value: 4}},
-		Histograms: []telemetry.HistogramVal{{Name: "h", Bounds: []float64{1, 5}, Buckets: []uint64{0, 2}, Count: 3, Sum: 9.5}},
-	}
-	final := telemetry.Snapshot{
-		Counters:   []telemetry.CounterVal{{Name: "c", Value: 5}},
-		Gauges:     []telemetry.GaugeVal{{Name: "g", Value: 4}}, // last reading wins
-		Histograms: []telemetry.HistogramVal{{Name: "h", Bounds: []float64{1, 5}, Buckets: []uint64{1, 2}, Count: 4, Sum: 10.0}},
-	}
-	evs := []telemetry.Event{
-		{Kind: "metrics", Metrics: &d1},
-		{Kind: "progress"}, // ignored
-		{Kind: "metrics", Metrics: &d2},
-	}
-	folded, ok := foldMetricDeltas(evs)
-	if !ok {
-		t.Fatal("no metrics events found")
-	}
-	if err := compareSnapshots(folded, final); err != nil {
-		t.Fatalf("folded deltas should match finals: %v", err)
-	}
-
-	bad := final
-	bad.Counters = []telemetry.CounterVal{{Name: "c", Value: 6}}
-	if err := compareSnapshots(folded, bad); err == nil || !strings.Contains(err.Error(), "counter c") {
-		t.Fatalf("err = %v, want counter mismatch", err)
-	}
-	bad = final
-	bad.Histograms = []telemetry.HistogramVal{{Name: "h", Bounds: []float64{1, 5}, Buckets: []uint64{2, 1}, Count: 4, Sum: 10.0}}
-	if err := compareSnapshots(folded, bad); err == nil || !strings.Contains(err.Error(), "bucket") {
-		t.Fatalf("err = %v, want bucket mismatch", err)
-	}
-
-	if _, ok := foldMetricDeltas([]telemetry.Event{{Kind: "progress"}}); ok {
-		t.Fatal("fold of zero metrics events should report !ok")
-	}
-}
-
-func TestCheckStageEvents(t *testing.T) {
-	final := telemetry.Snapshot{Histograms: []telemetry.HistogramVal{
-		{Name: "dmp_sample_prefix_seconds", Count: 2, Sum: 3.0},
-	}}
-	good := []telemetry.Event{
-		{Kind: "sample-stage", Name: "prefix", V: 1.25},
-		{Kind: "sample-stage", Name: "prefix", V: 1.75},
-	}
-	if err := checkStageEvents(good, final); err != nil {
-		t.Fatalf("consistent stages rejected: %v", err)
-	}
-	if err := checkStageEvents(nil, telemetry.Snapshot{}); err != nil {
-		t.Fatalf("no sampling should pass vacuously: %v", err)
-	}
-	if err := checkStageEvents(good[:1], final); err == nil || !strings.Contains(err.Error(), "histogram count") {
-		t.Fatalf("err = %v, want count mismatch", err)
-	}
-	worse := []telemetry.Event{
-		{Kind: "sample-stage", Name: "prefix", V: 1.0},
-		{Kind: "sample-stage", Name: "prefix", V: 1.0},
-	}
-	if err := checkStageEvents(worse, final); err == nil || !strings.Contains(err.Error(), "histogram sum") {
-		t.Fatalf("err = %v, want sum mismatch", err)
-	}
-	orphan := []telemetry.Event{{Kind: "sample-stage", Name: "mystery", V: 1}}
-	if err := checkStageEvents(orphan, final); err == nil || !strings.Contains(err.Error(), "no histogram") {
-		t.Fatalf("err = %v, want missing histogram", err)
-	}
-}
-
-// TestValidateTelemetryEndToEnd drives a real Set through OpenDir,
-// emits spans, events and metric deltas, closes it, records the
-// finals, and checks validateTelemetry accepts the directory.
+// TestValidateTelemetryEndToEnd drives a real run through Attach and
+// Finish, with a child span and a progress event, and checks
+// validateTelemetry accepts the directory; a metrics.json that decodes
+// to an empty snapshot is rejected.
 func TestValidateTelemetryEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	set, err := telemetry.OpenDir(dir)
+	set, err := telemetry.Attach(dir, "test", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := set.Tracer().Begin("test", "t")
-	set.Feed().Emit(telemetry.Event{Kind: "run-start", Name: "test"})
-	child := root.Child("stage", "t")
-	child.End()
-	set.EmitMetrics()
-	set.Feed().Emit(telemetry.Event{Kind: "run-end"})
-	root.End()
-	snap, err := set.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := telemetry.WriteMetricsDir(dir, snap); err != nil {
+	set.Root().Child("stage", "t").End()
+	set.Feed().Emit(telemetry.Event{Kind: "progress", N: 1, V: 1})
+	if err := set.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if err := validateTelemetry(dir); err != nil {
 		t.Fatalf("real artifacts rejected: %v", err)
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, telemetry.MetricsFile), []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := validateTelemetry(dir); err == nil || !strings.Contains(err.Error(), "no metrics") {
+		t.Fatalf("err = %v, want empty-snapshot rejection", err)
+	}
+}
+
+// TestValidateTrace checks -validate through the span reader: a Tracer
+// trace is accepted, and an event that is not a named complete event is
+// rejected.
+func TestValidateTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := telemetry.NewTracer(f)
+	tr.Begin("root", "t").End()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := validateTrace(path); err != nil {
+		t.Fatalf("tracer output rejected: %v", err)
+	}
+	if err := os.WriteFile(path, []byte(`[{"name":"x","ph":"B","ts":0,"dur":1}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := validateTrace(path); err == nil || !strings.Contains(err.Error(), "complete event") {
+		t.Fatalf("err = %v, want a complete-event rejection", err)
 	}
 }

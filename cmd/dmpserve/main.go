@@ -24,11 +24,11 @@
 // and a fixed Retry-After of one second.
 //
 // -telemetry-out DIR records the host telemetry artifacts (spans.json,
-// events.jsonl, metrics.json/.prom) on shutdown, in the same format
-// dmpexp -telemetry-out writes and dmpobs -telemetry validates. Without
-// it the daemon still runs an in-memory telemetry set: the progress
-// feed drives the SSE endpoint and the metrics registry drives
-// /metrics.
+// events.jsonl, metrics.json/.prom), finished on shutdown, in the same
+// format dmpexp -telemetry-out writes and dmpobs -telemetry validates.
+// Without it the daemon still runs an in-memory telemetry set: the
+// lifecycle feed drives the SSE endpoint and the metrics registry
+// drives /metrics.
 //
 // SIGINT/SIGTERM shut down gracefully: stop admitting (new POSTs get
 // 429), drain accepted requests, flush telemetry, exit.
@@ -65,26 +65,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The daemon always runs with an attached telemetry set: the feed is
-	// what the SSE endpoint streams and EmitMetrics checkpoints come for
-	// free with it. -telemetry-out additionally persists the artifacts.
-	var (
-		tel *telemetry.Set
-		err error
-	)
-	if *telemetryOut != "" {
-		tel, err = telemetry.OpenDir(*telemetryOut)
-		if err != nil {
-			fail("telemetry: %v", err)
-		}
-	} else {
-		tel = telemetry.New(telemetry.Options{})
+	// The daemon always runs with an attached telemetry set: its feed is
+	// what the SSE endpoint streams. -telemetry-out also records it.
+	tel, err := telemetry.Attach(*telemetryOut, "dmpserve", "listen "+*listen)
+	if err != nil {
+		fail("telemetry: %v", err)
 	}
-	telemetry.Enable(tel)
-	root := tel.Tracer().Begin("dmpserve", "serve")
-	tel.Feed().Emit(telemetry.Event{Kind: "run-start", Name: "dmpserve", Msg: "listen " + *listen})
 
-	cfg := serve.Config{Parallel: *par, Span: root}
+	cfg := serve.Config{Parallel: *par, Span: tel.Root()}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
@@ -120,16 +108,7 @@ func main() {
 	}
 	srv.Close()
 
-	tel.Feed().Emit(telemetry.Event{Kind: "run-end"})
-	root.End()
-	snap, terr := tel.Close()
-	telemetry.Enable(nil)
-	if terr != nil {
-		fmt.Fprintf(os.Stderr, "dmpserve: telemetry: %v\n", terr)
-	}
-	if *telemetryOut != "" {
-		if err := telemetry.WriteMetricsDir(*telemetryOut, snap); err != nil {
-			fmt.Fprintf(os.Stderr, "dmpserve: telemetry: %v\n", err)
-		}
+	if err := tel.Finish(); err != nil {
+		fmt.Fprintf(os.Stderr, "dmpserve: telemetry: %v\n", err)
 	}
 }

@@ -30,20 +30,22 @@
 // for dmpobs -manifest to validate. The summary includes a host time
 // breakdown (prefix/warming/snapshot/detailed/extrapolate).
 //
-// Observability (see internal/obs): -pipetrace writes a per-uop
+// Observability (see internal/telemetry): -pipetrace writes a per-uop
 // pipeline trace (Chrome trace_event JSON for Perfetto when the file
 // ends in .json, text otherwise), -events writes the dynamic
 // predication episode timeline as JSONL (summarize with dmpobs),
-// -interval writes an interval Stats CSV every N cycles. A progress
-// heartbeat prints on stderr every few seconds unless -q.
+// -interval writes an interval Stats CSV every N cycles. An exact run
+// reports its progress (cycle, retired instructions, sim IPC, simulator
+// throughput) on stderr at most every 5 s unless -q: a repainted line on
+// a terminal, one line per report on a pipe.
 // -cpuprofile/-memprofile/-trace profile the simulator itself.
 //
-// -telemetry attaches the host-side telemetry layer (internal/telemetry);
-// -telemetry-out DIR (implies -telemetry) records spans.json (host spans:
-// run, and for -sample the prefix/warm/extrapolate stages plus every
-// snapshot and interval job — loadable into one Perfetto timeline with a
-// -pipetrace), events.jsonl and metrics.json/.prom. Validate with dmpobs
-// -telemetry DIR. Attached telemetry never changes the printed Stats.
+// -telemetry-out DIR records the host telemetry artifacts: spans.json
+// (host spans: run, and for -sample the prefix/warm/extrapolate stages
+// plus every snapshot and interval job — loadable into one Perfetto
+// timeline with a -pipetrace), events.jsonl and metrics.json/.prom.
+// Validate with dmpobs -telemetry DIR. Telemetry never changes the
+// printed Stats.
 package main
 
 import (
@@ -57,7 +59,6 @@ import (
 	"dmp/internal/emu"
 	"dmp/internal/exp"
 	"dmp/internal/lint"
-	"dmp/internal/obs"
 	"dmp/internal/profile"
 	"dmp/internal/prog"
 	"dmp/internal/sample"
@@ -99,13 +100,12 @@ func main() {
 		events      = flag.String("events", "", "write the dynamic-predication episode timeline (JSONL) to this file")
 		interval    = flag.Uint64("interval", 0, "sample Stats deltas every N cycles into an interval CSV")
 		intervalOut = flag.String("interval-out", "", "interval CSV destination (default stdout)")
-		quiet       = flag.Bool("q", false, "suppress the stderr progress heartbeat")
+		quiet       = flag.Bool("q", false, "suppress the stderr progress line")
 		cpuprofile  = flag.String("cpuprofile", "", "write a host CPU profile to this file")
 		memprofile  = flag.String("memprofile", "", "write a host heap profile to this file at exit")
 		exectrace   = flag.String("trace", "", "write a host runtime execution trace to this file")
 
-		telemetryOn  = flag.Bool("telemetry", false, "attach host-side telemetry (metrics, spans, progress feed)")
-		telemetryOut = flag.String("telemetry-out", "", "record telemetry artifacts (spans.json, events.jsonl, metrics.json/.prom) in this directory; implies -telemetry")
+		telemetryOut = flag.String("telemetry-out", "", "record telemetry artifacts (spans.json, events.jsonl, metrics.json/.prom) in this directory")
 	)
 	flag.Parse()
 
@@ -199,48 +199,27 @@ func main() {
 		return
 	}
 
-	stopProfiles, err := obs.StartHostProfiles(*cpuprofile, *memprofile, *exectrace)
+	stopProfiles, err := telemetry.StartHostProfiles(*cpuprofile, *memprofile, *exectrace)
 	if err != nil {
 		fatal("profiling: %v", err)
 	}
 
-	// Telemetry attach: one root span for the run; a sampled run hangs
-	// its stage spans and interval jobs under it. finishTelemetry closes
-	// the set and records the metrics artifacts.
-	var tel *telemetry.Set
-	var rootSpan *telemetry.Span
-	if *telemetryOut != "" {
-		*telemetryOn = true
+	// One root span for the run; a sampled run hangs its stage spans and
+	// interval jobs under it.
+	tel, err := telemetry.Attach(*telemetryOut, "dmpsim",
+		fmt.Sprintf("%s %s scale %d", benchName(*bench, *asm), *mode, *scale))
+	if err != nil {
+		fatal("telemetry: %v", err)
 	}
-	if *telemetryOn {
-		if *telemetryOut != "" {
-			tel, err = telemetry.OpenDir(*telemetryOut)
-			if err != nil {
-				fatal("telemetry: %v", err)
-			}
-		} else {
-			tel = telemetry.New(telemetry.Options{})
-		}
-		telemetry.Enable(tel)
-		rootSpan = tel.Tracer().Begin("dmpsim", "sim")
-		tel.Feed().Emit(telemetry.Event{Kind: "run-start", Name: "dmpsim",
-			Msg: fmt.Sprintf("%s %s scale %d", benchName(*bench, *asm), *mode, *scale)})
+	if !*quiet {
+		tel.Render(os.Stderr)
 	}
-	finishTelemetry := func() {
-		if tel == nil {
-			return
-		}
-		tel.Feed().Emit(telemetry.Event{Kind: "run-end"})
-		rootSpan.End()
-		snap, err := tel.Close()
-		telemetry.Enable(nil)
-		if err != nil {
+	finish := func() {
+		if err := tel.Finish(); err != nil {
 			fmt.Fprintf(os.Stderr, "dmpsim: telemetry: %v\n", err)
 		}
-		if *telemetryOut != "" {
-			if err := telemetry.WriteMetricsDir(*telemetryOut, snap); err != nil {
-				fmt.Fprintf(os.Stderr, "dmpsim: telemetry: %v\n", err)
-			}
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "dmpsim: profiling: %v\n", err)
 		}
 	}
 
@@ -248,7 +227,7 @@ func main() {
 		if *pipetrace != "" || *events != "" || *interval != 0 {
 			fatal("-pipetrace/-events/-interval trace exact runs; they are not available with -sample")
 		}
-		r, err := sample.Run(p, cfg, sample.Options{Span: rootSpan})
+		r, err := sample.Run(p, cfg, sample.Options{Span: tel.Root()})
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -270,10 +249,7 @@ func main() {
 			fmt.Print(mergeStatsLine(r.Extrapolated))
 		}
 		printHostThroughput(p, cfg.MaxInsts, float64(r.TotalInsts)/r.WallSeconds)
-		finishTelemetry()
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "dmpsim: profiling: %v\n", err)
-		}
+		finish()
 		return
 	}
 
@@ -284,11 +260,11 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		format := obs.FormatText
+		format := telemetry.FormatText
 		if strings.HasSuffix(*pipetrace, ".json") {
-			format = obs.FormatChrome
+			format = telemetry.FormatChrome
 		}
-		tr := obs.NewPipetrace(f, format)
+		tr := telemetry.NewPipetrace(f, format)
 		probes = append(probes, tr.Probe())
 		sinks = append(sinks, tr, f)
 	}
@@ -297,7 +273,7 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		el := obs.NewEpisodeLog(f)
+		el := telemetry.NewEpisodeLog(f)
 		probes = append(probes, el.Probe())
 		sinks = append(sinks, el, f)
 	}
@@ -312,7 +288,7 @@ func main() {
 		} else {
 			w = os.Stdout
 		}
-		iv := obs.NewIntervalSampler(w, *interval)
+		iv := telemetry.NewIntervalSampler(w, *interval)
 		probes = append(probes, iv.Probe())
 		sinks = append(sinks, iv)
 		if w != os.Stdout {
@@ -320,7 +296,7 @@ func main() {
 		}
 	}
 	if !*quiet {
-		probes = append(probes, obs.NewHeartbeat(os.Stderr, 5*time.Second).Probe())
+		probes = append(probes, telemetry.ProgressProbe(tel.Feed(), 5*time.Second))
 	}
 
 	m, err := core.New(p, cfg)
@@ -328,9 +304,9 @@ func main() {
 		fatal("%v", err)
 	}
 	if len(probes) > 0 {
-		m.SetProbe(obs.Tee(probes...))
+		m.SetProbe(telemetry.Tee(probes...))
 	}
-	runSpan := rootSpan.Child("run", "sim")
+	runSpan := tel.Root().Child("run", "sim")
 	st, runErr := m.Run()
 	runSpan.End()
 	for _, s := range sinks {
@@ -338,10 +314,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dmpsim: closing sink: %v\n", err)
 		}
 	}
-	finishTelemetry()
-	if err := stopProfiles(); err != nil {
-		fmt.Fprintf(os.Stderr, "dmpsim: profiling: %v\n", err)
-	}
+	finish()
 	if runErr != nil {
 		fatal("%v\npartial stats: %v", runErr, st)
 	}

@@ -4,8 +4,8 @@ import "dmp/internal/isa"
 
 // This file is the machine's observability hook layer. A Probe is a set
 // of optional callbacks the machine invokes at pipeline and
-// dynamic-predication events; internal/obs builds sinks (pipetrace,
-// episode timeline, interval sampler, heartbeat) on top of it.
+// dynamic-predication events; internal/telemetry builds sinks
+// (pipetrace, episode timeline, interval sampler, progress) on top of it.
 //
 // The contract is zero overhead when disabled: every hook site in the
 // per-cycle pipeline code is a single predictable `m.probe != nil`

@@ -100,7 +100,7 @@ func (s *Stats) Clone() *Stats {
 // Delta returns the field-wise difference s - prev for every counter:
 // what happened between two snapshots of the same run. Counters are
 // monotonic during a run, so each difference is well-defined; the
-// interval sampler (internal/obs) builds its per-interval rows from
+// interval sampler (internal/telemetry) builds its per-interval rows from
 // this. HaltRetired is taken from s.
 func (s *Stats) Delta(prev *Stats) Stats {
 	d := Stats{

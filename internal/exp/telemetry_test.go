@@ -26,15 +26,13 @@ func TestTelemetryDoesNotPerturb(t *testing.T) {
 	}
 
 	ResetResults()
-	set, err := telemetry.OpenDir(t.TempDir())
+	set, err := telemetry.Attach(t.TempDir(), "test", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	telemetry.Enable(set)
 	defer telemetry.Enable(nil)
-	root := set.Tracer().Begin("test", "exp")
 	o2 := o
-	o2.Span = root
+	o2.Span = set.Root()
 	t3b, err := Table3(o2)
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +41,7 @@ func TestTelemetryDoesNotPerturb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root.End()
-	if _, err := set.Close(); err != nil {
+	if err := set.Finish(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,15 +1,6 @@
 package gen
 
-import (
-	"dmp/internal/prog"
-	"dmp/internal/telemetry"
-)
-
-// mShrinkIters counts accepted shrink mutations across all Shrink calls
-// — with dmp_diff_divergences_total it says how much minimization work
-// each finding cost. Host-side telemetry only.
-var mShrinkIters = telemetry.NewCounter("dmp_gen_shrink_iterations_total",
-	"accepted shrink mutations across all minimizations")
+import "dmp/internal/prog"
 
 // Failure decides whether a program still exhibits the behavior being
 // minimized (a lint diagnostic, an emu/core divergence, a crash...).
@@ -73,7 +64,6 @@ func Shrink(g *Generated, fails Failure) (*Generated, int) {
 
 	out := &Generated{Opts: opts, Root: cur, Fns: g.Fns}
 	out.Prog = Emit(cur, g.Fns, opts)
-	mShrinkIters.Add(uint64(steps))
 	return out, steps
 }
 

@@ -28,7 +28,9 @@ import (
 //	.entry start         ; entry label (default: first instruction)
 //
 // Register names are r0..r31, zero, sp and lr. Branch/jump targets must be
-// labels. Immediates accept decimal and 0x-hex.
+// labels. Immediates accept decimal and 0x-hex. Every malformed input,
+// including a duplicate or undefined label, is an "asm: ..." error,
+// never a panic.
 func Assemble(src string) (*Program, error) {
 	b := NewBuilder()
 	for ln, raw := range strings.Split(src, "\n") {
@@ -44,7 +46,21 @@ func Assemble(src string) (*Program, error) {
 			return nil, fmt.Errorf("asm: line %d: %w", ln+1, err)
 		}
 	}
-	return b.Build()
+	// Builder panics on an undefined label (a generator bug); in source
+	// text it is an input error, so check before Build.
+	for _, f := range b.fixups {
+		if _, ok := b.p.Labels[f.label]; !ok {
+			if f.pc == ^uint64(0) {
+				return nil, fmt.Errorf("asm: .entry label %q is not defined", f.label)
+			}
+			return nil, fmt.Errorf("asm: undefined label %q (instruction %d)", f.label, f.pc)
+		}
+	}
+	p, err := b.Build()
+	if err != nil {
+		return nil, fmt.Errorf("asm: %w", err)
+	}
+	return p, nil
 }
 
 // MustAssemble is Assemble that panics on error, for tests.
@@ -62,6 +78,9 @@ func asmLine(b *Builder, line string) error {
 		label := strings.TrimSpace(line[:i])
 		if label == "" || strings.ContainsAny(label, " \t,") {
 			return fmt.Errorf("bad label %q", label)
+		}
+		if _, dup := b.p.Labels[label]; dup {
+			return fmt.Errorf("duplicate label %q", label)
 		}
 		b.Label(label)
 		line = strings.TrimSpace(line[i+1:])

@@ -144,16 +144,34 @@ func TestAssembleErrors(t *testing.T) {
 		"br.zz r1, r2, x\nx: halt", // bad condition
 		"add r99, r1, r2\nhalt",    // bad register
 		".word 1\nhalt",            // .word arity
-		"jmp nowhere",              // undefined label -> panic in Build
+		"jmp nowhere",              // undefined label
+		"Br.lt r0,r0,0",            // undefined label (found by FuzzAssemble)
+		"x:x:",                     // duplicate label
+		".entry nowhere\nhalt",     // .entry of a missing label
 	}
 	for _, src := range bad {
-		func() {
-			defer func() { recover() }() // undefined-label panics count as failures too
-			if _, err := Assemble(src); err == nil {
-				t.Errorf("Assemble(%q) succeeded, want error", src)
-			}
-		}()
+		if _, err := Assemble(src); err == nil || !strings.HasPrefix(err.Error(), "asm: ") {
+			t.Errorf("Assemble(%q) = %v, want an asm: error", src, err)
+		}
 	}
+}
+
+// FuzzAssemble feeds arbitrary source text to the assembler: it must
+// never panic, and any program it accepts must pass Validate.
+func FuzzAssemble(f *testing.F) {
+	f.Add(asmSample)
+	f.Add("x: li r1, 1\n y: halt")
+	f.Add("x:x:")
+	f.Add(".entry nowhere\nhalt")
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Assemble(src)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Assemble(%q) accepted a program that fails Validate: %v", src, err)
+		}
+	})
 }
 
 func TestAssembleDisassembleStable(t *testing.T) {

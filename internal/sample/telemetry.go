@@ -4,9 +4,8 @@ import "dmp/internal/telemetry"
 
 // Host-side telemetry for the sampled-run driver. The stage histograms
 // are fed from the same measurements that populate Timing (one
-// observation per stage per run), so span data, feed events, and the
-// Timing struct are three views of one clock and dmpobs can cross-check
-// them exactly. The live-snapshots gauge tracks checkpoint memory: it
+// observation per stage per run); the registry is their one home, and
+// the stage spans place the same work on the timeline. The live-snapshots gauge tracks checkpoint memory: it
 // rises when the warming pass captures a checkpoint and falls when the
 // interval job releases it, so its peak is the streamed pipeline's
 // snapshot working set. Everything here is host-side only — no
@@ -31,29 +30,11 @@ var (
 )
 
 // stageTelemetry publishes one finished run's Timing to the stage
-// histograms and, when telemetry is attached, as sample-stage feed
-// events carrying the identical values — the redundancy is deliberate,
-// it is what dmpobs -telemetry cross-checks.
+// histograms.
 func stageTelemetry(tm Timing) {
 	mStagePrefix.Observe(tm.PrefixSeconds)
 	mStageWarm.Observe(tm.WarmSeconds)
 	mStageSnapshot.Observe(tm.SnapshotSeconds)
 	mStageDetailed.Observe(tm.DetailedSeconds)
 	mStageExtrapolate.Observe(tm.ExtrapolateSeconds)
-	tel := telemetry.Active()
-	if tel == nil {
-		return
-	}
-	for _, s := range []struct {
-		name string
-		v    float64
-	}{
-		{"prefix", tm.PrefixSeconds},
-		{"warm", tm.WarmSeconds},
-		{"snapshot", tm.SnapshotSeconds},
-		{"detailed", tm.DetailedSeconds},
-		{"extrapolate", tm.ExtrapolateSeconds},
-	} {
-		tel.Feed().Emit(telemetry.Event{Kind: "sample-stage", Name: s.name, V: s.v})
-	}
 }

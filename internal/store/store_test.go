@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -294,4 +295,62 @@ func TestOpenRecovery(t *testing.T) {
 	if _, err := os.Stat(badPath); !os.IsNotExist(err) {
 		t.Fatal("recovery kept a corrupt orphan")
 	}
+}
+
+// FuzzStoreObject writes arbitrary payload bytes into an object file,
+// either bare or inside an envelope with a correct checksum, and reads
+// it back through Get. Get must never panic: it either misses and
+// removes the file, or returns Stats from a payload whose Meta digests
+// to the requested key.
+func FuzzStoreObject(f *testing.F) {
+	m := testMeta("mcf")
+	good, err := json.Marshal(payload{Meta: m, Stats: *testStats()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	misfiled, err := json.Marshal(payload{Meta: testMeta("gcc"), Stats: *testStats()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good, true)
+	f.Add(good, false)
+	f.Add(misfiled, true)
+	f.Add(good[:len(good)/2], true)
+	f.Add([]byte(`{"meta":{},"stats":{},"extra":1}`), true)
+	f.Add([]byte("null"), true)
+	f.Fuzz(func(t *testing.T, pl []byte, wrap bool) {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest := m.Digest()
+		data := pl
+		if wrap {
+			data = []byte(fmt.Sprintf(`{"version":%d,"sum":%q,"payload":%s}`, FormatVersion, sumHex(pl), pl))
+		}
+		path := s.objectPath(digest)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, ok := s.Get(digest)
+		if !ok {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("miss left the object file in place (stat err %v)", err)
+			}
+			return
+		}
+		if st == nil {
+			t.Fatal("hit returned nil Stats")
+		}
+		_, meta, err := readObject(path)
+		if err != nil {
+			t.Fatalf("hit on an object readObject rejects: %v", err)
+		}
+		if meta.Digest() != digest {
+			t.Fatalf("hit served Meta digest %s for key %s", meta.Digest(), digest)
+		}
+	})
 }

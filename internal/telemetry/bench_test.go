@@ -53,7 +53,7 @@ func BenchmarkDisabledGuard(b *testing.B) {
 // Child and End on the resulting nil span.
 func BenchmarkDisabledSpan(b *testing.B) {
 	Enable(nil)
-	tr := ActiveTracer()
+	tr := Active().Tracer()
 	for i := 0; i < b.N; i++ {
 		sp := tr.Begin("bench", "bench")
 		child := sp.Child("inner", "bench")
@@ -67,7 +67,7 @@ func BenchmarkDisabledSpan(b *testing.B) {
 // time and duration).
 func BenchmarkDisabledSpanAt(b *testing.B) {
 	Enable(nil)
-	tr := ActiveTracer()
+	tr := Active().Tracer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		tr.SpanAt("bench", "bench", start, time.Microsecond, 0)

@@ -7,8 +7,8 @@ import (
 	"path/filepath"
 )
 
-// Artifact names inside a telemetry output directory (-telemetry-out).
-// dmpobs -telemetry reads the same names back.
+// Artifact names inside a telemetry output directory (Attach's dir, the
+// CLIs' -telemetry-out). dmpobs -telemetry reads the same names back.
 const (
 	SpansFile       = "spans.json"   // Chrome trace_event array (Perfetto)
 	EventsFile      = "events.jsonl" // progress feed, one Event per line
@@ -16,12 +16,10 @@ const (
 	MetricsPromFile = "metrics.prom" // final Snapshot, Prometheus text
 )
 
-// OpenDir creates dir (if needed) and returns a Set writing spans.json
+// openDir creates dir (if needed) and returns a Set writing spans.json
 // and events.jsonl into it; the underlying files close with the Set.
-// The metrics files are written separately by WriteMetricsDir from the
-// snapshot Set.Close returns, so the recorded finals are exactly the
-// snapshot the feed's deltas sum to.
-func OpenDir(dir string) (*Set, error) {
+// Finish writes the metrics files once the run is over.
+func openDir(dir string) (*Set, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -34,11 +32,13 @@ func OpenDir(dir string) (*Set, error) {
 		sf.Close()
 		return nil, err
 	}
-	return New(Options{SpanW: sf, EventW: ef, Closers: []io.Closer{ef, sf}}), nil
+	s := New(Options{SpanW: sf, EventW: ef})
+	s.closers = []io.Closer{ef, sf}
+	return s, nil
 }
 
-// WriteMetricsDir records snap as metrics.json and metrics.prom in dir.
-func WriteMetricsDir(dir string, snap Snapshot) error {
+// writeMetrics records snap as metrics.json and metrics.prom in dir.
+func writeMetrics(dir string, snap Snapshot) error {
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		return err

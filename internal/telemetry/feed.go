@@ -8,30 +8,30 @@ import (
 	"time"
 )
 
-// Event is one structured progress event. Kind is the discriminator;
-// the other fields are kind-dependent and omitted when empty:
+// Event is one lifecycle event. Kind is the discriminator; the other
+// fields are kind-dependent and omitted when empty. Measurements do not
+// travel on the feed: they live in the Registry (metrics.json,
+// /metrics) or as spans.
 //
 //	run-start      Name=command, Msg=args summary
 //	experiment     Name=experiment, Msg="start"|"done", V=wall seconds when done
 //	simulation     Name=bench/config label, Msg="hit"|"miss"|"done", V=wall seconds
-//	sample-stage   Name=stage (prefix|warm|snapshot|detailed|extrapolate), V=seconds
+//	request        Name=run id, Msg="start"|"done", V=wall seconds when done
 //	diff           Name=stage on divergence, N=seeds verified so far
 //	progress       N=completed units, V=total units, Msg=current item
-//	metrics        Metrics=delta of every registered metric since last metrics event
 //	run-end        V=total wall seconds
 type Event struct {
-	T       float64   `json:"t"` // seconds since the feed started
-	Kind    string    `json:"kind"`
-	Name    string    `json:"name,omitempty"`
-	Msg     string    `json:"msg,omitempty"`
-	N       uint64    `json:"n,omitempty"`
-	V       float64   `json:"v,omitempty"`
-	Metrics *Snapshot `json:"metrics,omitempty"`
+	T    float64 `json:"t"` // seconds since the feed started
+	Kind string  `json:"kind"`
+	Name string  `json:"name,omitempty"`
+	Msg  string  `json:"msg,omitempty"`
+	N    uint64  `json:"n,omitempty"`
+	V    float64 `json:"v,omitempty"`
 }
 
 // Feed fans structured progress events out to an optional JSONL writer
-// and any in-process subscribers (the TTY renderer now, dmpserve's SSE
-// hub later). Emit is safe for concurrent use and nil-safe; subscribers
+// and any in-process subscribers (the Progress renderer, dmpserve's SSE
+// hub). Emit is safe for concurrent use and nil-safe; subscribers
 // run synchronously under the feed lock, so they must be fast and must
 // not call back into the feed.
 type Feed struct {

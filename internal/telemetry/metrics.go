@@ -234,7 +234,8 @@ func (r *Registry) Snapshot() Snapshot {
 // histogram counts subtract, gauges report their current value (a gauge
 // has no meaningful difference), matching Stats.Delta's convention of
 // interval counters over instantaneous state. Metrics absent from prev
-// (registered later) delta against zero.
+// (registered later) delta against zero. It measures one window of a
+// run from outside (dmpbench reads the registry this way).
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	pc := make(map[string]uint64, len(prev.Counters))
 	for _, c := range prev.Counters {
@@ -269,57 +270,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		d.Histograms[i] = dv
 	}
 	return d
-}
-
-// Add returns s plus other, aligned by name (the inverse of Delta for
-// counters and histograms; gauges take other's value, i.e. the later
-// reading wins). dmpobs uses it to fold a stream of deltas back into a
-// final snapshot.
-func (s Snapshot) Add(other Snapshot) Snapshot {
-	oc := make(map[string]uint64, len(other.Counters))
-	for _, c := range other.Counters {
-		oc[c.Name] = c.Value
-	}
-	og := make(map[string]GaugeVal, len(other.Gauges))
-	for _, g := range other.Gauges {
-		og[g.Name] = g
-	}
-	oh := make(map[string]HistogramVal, len(other.Histograms))
-	for _, h := range other.Histograms {
-		oh[h.Name] = h
-	}
-	var out Snapshot
-	out.Counters = make([]CounterVal, len(s.Counters))
-	for i, c := range s.Counters {
-		out.Counters[i] = CounterVal{Name: c.Name, Value: c.Value + oc[c.Name]}
-	}
-	out.Gauges = make([]GaugeVal, len(s.Gauges))
-	for i, g := range s.Gauges {
-		if v, ok := og[g.Name]; ok {
-			out.Gauges[i] = v
-		} else {
-			out.Gauges[i] = g
-		}
-	}
-	out.Histograms = make([]HistogramVal, len(s.Histograms))
-	for i, h := range s.Histograms {
-		ov := HistogramVal{
-			Name:    h.Name,
-			Bounds:  h.Bounds,
-			Buckets: append([]uint64(nil), h.Buckets...),
-			Count:   h.Count,
-			Sum:     h.Sum,
-		}
-		if o, ok := oh[h.Name]; ok && len(o.Buckets) == len(ov.Buckets) {
-			for j := range ov.Buckets {
-				ov.Buckets[j] += o.Buckets[j]
-			}
-			ov.Count += o.Count
-			ov.Sum += o.Sum
-		}
-		out.Histograms[i] = ov
-	}
-	return out
 }
 
 // WritePrometheus writes the snapshot in Prometheus text exposition

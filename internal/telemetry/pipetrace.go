@@ -1,4 +1,4 @@
-package obs
+package telemetry
 
 import (
 	"bufio"
@@ -55,23 +55,21 @@ type ptRec struct {
 // grows past its high-water mark.
 type Pipetrace struct {
 	w      *bufio.Writer
-	format PipetraceFormat
+	chrome *traceArray // the array framing in FormatChrome, else nil
 	recs   []ptRec
 	byID   map[uint64]int32
 	free   []int32
-	events int // emitted uops (Chrome comma separation)
 	closed bool
 }
 
 // NewPipetrace creates a pipetrace sink writing to w. Close flushes it.
 func NewPipetrace(w io.Writer, format PipetraceFormat) *Pipetrace {
-	t := &Pipetrace{
-		w:      bufio.NewWriterSize(w, 1<<16),
-		format: format,
-		byID:   map[uint64]int32{},
-	}
+	t := &Pipetrace{byID: map[uint64]int32{}}
 	if format == FormatChrome {
-		t.w.WriteString("[") //nolint:errcheck // bufio defers errors to Flush
+		a := newTraceArray(w)
+		t.chrome, t.w = &a, a.w
+	} else {
+		t.w = bufio.NewWriterSize(w, 1<<16)
 	}
 	return t
 }
@@ -158,8 +156,8 @@ func (t *Pipetrace) Close() error {
 	}
 	t.closed = true
 	t.drain()
-	if t.format == FormatChrome {
-		t.w.WriteString("\n]\n") //nolint:errcheck // Flush reports
+	if t.chrome != nil {
+		return t.chrome.end()
 	}
 	return t.w.Flush()
 }
@@ -169,7 +167,7 @@ func (t *Pipetrace) Close() error {
 func cyc(c uint64) int64 { return int64(c) - 1 }
 
 func (t *Pipetrace) emit(r *ptRec) {
-	if t.format == FormatChrome {
+	if t.chrome != nil {
 		t.emitChrome(r)
 		return
 	}
@@ -229,11 +227,7 @@ func (t *Pipetrace) emitChrome(r *ptRec) {
 	if dur == 0 {
 		dur = 1
 	}
-	if t.events > 0 {
-		t.w.WriteString(",") //nolint:errcheck
-	}
-	t.events++
-	fmt.Fprintf(t.w, "\n{\"name\":%q,\"cat\":\"uop\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%d,\"dur\":%d,"+
+	fmt.Fprintf(t.chrome.next(), "{\"name\":%q,\"cat\":\"uop\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%d,\"dur\":%d,"+
 		"\"args\":{\"id\":%d,\"seq\":%d,\"pc\":%d,\"kind\":%q,\"fetch\":%d,\"rename\":%d,\"issue\":%d,"+
 		"\"complete\":%d,\"retire\":%d,\"squash\":%d,\"memblock\":%d,\"pred\":%d,\"alt\":%t,\"stream\":%d,"+
 		"\"false\":%t,\"end\":%q}}",

@@ -6,13 +6,14 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"time"
 )
 
-// Progress is a live single-line renderer over a Feed: it repaints one
-// status line in place (carriage return, no scroll) on a TTY, or prints
-// occasional plain lines on a pipe. Attach with feed.Subscribe(p.Event)
-// and call Finish when the run ends to terminate the line.
+// Progress is the live renderer over a Feed, for dmpsim and dmpexp
+// alike. On a TTY it repaints one status line in place (carriage
+// return, no scroll) on every event it tracks; on a pipe it prints one
+// plain line per "progress" event. Attach with feed.Subscribe(p.Event)
+// (or Set.Render) and call Finish when the run ends to terminate the
+// line.
 type Progress struct {
 	w   io.Writer
 	tty bool
@@ -24,20 +25,19 @@ type Progress struct {
 	hits     uint64
 	misses   uint64
 	lastLen  int
-	lastDraw time.Time
 	finished bool
 }
 
 // NewProgress builds a renderer writing to w; tty selects in-place
-// repainting (pass IsTerminal(w)).
+// repainting.
 func NewProgress(w io.Writer, tty bool) *Progress {
 	return &Progress{w: w, tty: tty}
 }
 
-// IsTerminal reports whether w is an *os.File on a character device —
+// isTerminal reports whether w is an *os.File on a character device —
 // the stdlib-only TTY check (no termios needed just to pick a render
 // style).
-func IsTerminal(w io.Writer) bool {
+func isTerminal(w io.Writer) bool {
 	f, ok := w.(*os.File)
 	if !ok {
 		return false
@@ -77,32 +77,25 @@ func (p *Progress) Event(ev Event) {
 	default:
 		return
 	}
-	p.draw(ev.T)
+	if p.tty || ev.Kind == "progress" {
+		p.draw(ev.T)
+	}
 }
 
 func (p *Progress) draw(t float64) {
-	// Rate-limit repaints: a scale-3 suite emits thousands of events and
-	// a TTY repaint per event is pure flicker.
-	now := time.Now()
-	if now.Sub(p.lastDraw) < 100*time.Millisecond {
-		return
-	}
-	p.lastDraw = now
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "[%6.1fs]", t)
+	var parts []string
 	if p.total > 0 {
-		fmt.Fprintf(&b, " %d/%d", p.done, uint64(p.total))
+		parts = append(parts, fmt.Sprintf("%d/%d", p.done, uint64(p.total)))
 	} else if p.done > 0 {
-		fmt.Fprintf(&b, " %d done", p.done)
+		parts = append(parts, fmt.Sprintf("%d done", p.done))
 	}
 	if p.hits+p.misses > 0 {
-		fmt.Fprintf(&b, " · cache %d hit %d miss", p.hits, p.misses)
+		parts = append(parts, fmt.Sprintf("cache %d hit %d miss", p.hits, p.misses))
 	}
 	if p.current != "" {
-		fmt.Fprintf(&b, " · %s", p.current)
+		parts = append(parts, p.current)
 	}
-	line := b.String()
+	line := fmt.Sprintf("[%6.1fs] %s", t, strings.Join(parts, " · "))
 	if p.tty {
 		pad := ""
 		if n := p.lastLen - len(line); n > 0 {
@@ -116,8 +109,11 @@ func (p *Progress) draw(t float64) {
 }
 
 // Finish terminates the status line (newline on a TTY) and stops
-// further rendering.
+// further rendering. Nil-safe.
 func (p *Progress) Finish() {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.finished {

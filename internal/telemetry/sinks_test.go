@@ -1,9 +1,8 @@
-package obs
+package telemetry_test
 
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -12,6 +11,7 @@ import (
 
 	"dmp/internal/core"
 	"dmp/internal/exp"
+	"dmp/internal/telemetry"
 )
 
 // runMCF runs mcf at scale 1 on the enhanced DMP configuration (the
@@ -55,11 +55,12 @@ func TestObserversDoNotPerturb(t *testing.T) {
 			base := runMCF(t, loops, nil)
 
 			var ptBuf, evBuf, ivBuf bytes.Buffer
-			trace := NewPipetrace(&ptBuf, FormatChrome)
-			elog := NewEpisodeLog(&evBuf)
-			samp := NewIntervalSampler(&ivBuf, 5000)
-			hb := NewHeartbeat(io.Discard, time.Hour)
-			st := runMCF(t, loops, Tee(trace.Probe(), elog.Probe(), samp.Probe(), hb.Probe()))
+			trace := telemetry.NewPipetrace(&ptBuf, telemetry.FormatChrome)
+			elog := telemetry.NewEpisodeLog(&evBuf)
+			samp := telemetry.NewIntervalSampler(&ivBuf, 5000)
+			feed := telemetry.NewFeed(io.Discard)
+			progress := telemetry.ProgressProbe(feed, time.Nanosecond)
+			st := runMCF(t, loops, telemetry.Tee(trace.Probe(), elog.Probe(), samp.Probe(), progress))
 			if err := trace.Close(); err != nil {
 				t.Fatalf("pipetrace close: %v", err)
 			}
@@ -166,7 +167,7 @@ func checkIntervalSums(t *testing.T, csv string, st *core.Stats) {
 // squashed uop gets a line with its stage cycles.
 func TestPipetraceText(t *testing.T) {
 	var buf bytes.Buffer
-	trace := NewPipetrace(&buf, FormatText)
+	trace := telemetry.NewPipetrace(&buf, telemetry.FormatText)
 	runMCF(t, false, trace.Probe())
 	if err := trace.Close(); err != nil {
 		t.Fatal(err)
@@ -191,7 +192,7 @@ func TestTee(t *testing.T) {
 	var a, b []uint64
 	pa := &core.Probe{TickEvery: 6, Tick: func(c uint64, _ *core.Stats) { a = append(a, c) }}
 	pb := &core.Probe{TickEvery: 10, Tick: func(c uint64, _ *core.Stats) { b = append(b, c) }}
-	tee := Tee(pa, pb, nil)
+	tee := telemetry.Tee(pa, pb, nil)
 	if tee.TickEvery != 2 {
 		t.Fatalf("merged TickEvery = %d, want gcd 2", tee.TickEvery)
 	}
@@ -206,39 +207,43 @@ func TestTee(t *testing.T) {
 	}
 
 	// A single probe passes through unchanged; an empty tee is inert.
-	if got := Tee(pa); got != pa {
+	if got := telemetry.Tee(pa); got != pa {
 		t.Error("single-probe Tee did not pass through")
 	}
-	if got := Tee(); got.Uop != nil || got.Tick != nil || got.Done != nil {
+	if got := telemetry.Tee(); got.Uop != nil || got.Tick != nil || got.Done != nil {
 		t.Error("empty Tee has callbacks")
 	}
 }
 
-// TestHeartbeatFinalSummary pins the end-of-run summary: a heartbeat
-// whose reporting period never elapses still prints exactly one line —
-// the final totals — and its numbers match the run's Stats. A
-// short-period heartbeat additionally prints progress lines.
-func TestHeartbeatFinalSummary(t *testing.T) {
-	var buf bytes.Buffer
-	hb := NewHeartbeat(&buf, time.Hour)
-	st := runMCF(t, false, hb.Probe())
-	out := buf.String()
-	want := fmt.Sprintf("done: retired %d insts in %d cycles (IPC %.3f)", st.RetiredInsts, st.Cycles, st.IPC())
-	if !strings.Contains(out, want) {
-		t.Errorf("final summary missing or wrong:\n  got  %q\n  want containing %q", out, want)
-	}
-	if n := strings.Count(out, "\n"); n != 1 {
-		t.Errorf("hour-period heartbeat printed %d lines, want just the summary:\n%s", n, out)
+// TestProgressProbe pins the progress path: the probe emits "progress"
+// events onto the feed only once its wall-time period has passed, and
+// the Progress renderer prints one line per event on a pipe.
+func TestProgressProbe(t *testing.T) {
+	var events []telemetry.Event
+	feed := telemetry.NewFeed(nil)
+	feed.Subscribe(func(ev telemetry.Event) { events = append(events, ev) })
+	runMCF(t, false, telemetry.ProgressProbe(feed, time.Hour))
+	if len(events) != 0 {
+		t.Fatalf("hour-period probe emitted %d events: %+v", len(events), events)
 	}
 
-	buf.Reset()
-	hb = NewHeartbeat(&buf, time.Nanosecond)
-	runMCF(t, false, hb.Probe())
-	if !strings.Contains(buf.String(), "Mcycles/s") {
-		t.Error("nanosecond-period heartbeat printed no progress lines")
+	var out bytes.Buffer
+	feed = telemetry.NewFeed(nil)
+	p := telemetry.NewProgress(&out, false)
+	feed.Subscribe(p.Event)
+	feed.Subscribe(func(ev telemetry.Event) { events = append(events, ev) })
+	runMCF(t, false, telemetry.ProgressProbe(feed, time.Nanosecond))
+	p.Finish()
+	if len(events) == 0 {
+		t.Fatal("nanosecond-period probe emitted no events")
 	}
-	if !strings.Contains(buf.String(), "done: retired") {
-		t.Error("short-period heartbeat lost the final summary")
+	for _, ev := range events {
+		if ev.Kind != "progress" || !strings.Contains(ev.Msg, "Mcycles/s") {
+			t.Fatalf("unexpected event %+v", ev)
+		}
+	}
+	if n := strings.Count(out.String(), "\n"); n != len(events) {
+		t.Errorf("pipe renderer printed %d lines for %d progress events", n, len(events))
 	}
 }
 
@@ -255,7 +260,7 @@ func TestTeeTickCadenceEdges(t *testing.T) {
 	// Single tick sink, unset cadence: defaulted, passed through.
 	var solo []uint64
 	ps := &core.Probe{Tick: fired(&solo)}
-	if tee := Tee(ps); tee.TickEvery != core.DefaultTickEvery {
+	if tee := telemetry.Tee(ps); tee.TickEvery != core.DefaultTickEvery {
 		t.Errorf("solo unset cadence = %d, want default %d", tee.TickEvery, core.DefaultTickEvery)
 	}
 
@@ -265,7 +270,7 @@ func TestTeeTickCadenceEdges(t *testing.T) {
 	def := uint64(core.DefaultTickEvery)
 	pa := &core.Probe{Tick: fired(&a)}
 	pb := &core.Probe{TickEvery: 3 * def, Tick: fired(&b)}
-	tee := Tee(pa, pb)
+	tee := telemetry.Tee(pa, pb)
 	if tee.TickEvery != def {
 		t.Fatalf("merged cadence = %d, want %d", tee.TickEvery, def)
 	}
@@ -285,7 +290,7 @@ func TestTeeTickCadenceEdges(t *testing.T) {
 	big := uint64(1) << 62
 	pc := &core.Probe{TickEvery: big, Tick: fired(&c)}
 	pd := &core.Probe{TickEvery: big - 1, Tick: fired(&d)}
-	tee = Tee(pc, pd)
+	tee = telemetry.Tee(pc, pd)
 	if tee.TickEvery != 1 {
 		t.Fatalf("coprime merged cadence = %d, want 1", tee.TickEvery)
 	}

@@ -9,8 +9,37 @@ import (
 	"time"
 )
 
+// traceArray frames a Chrome trace_event JSON array ("[", events
+// separated by commas, "]") over a buffered writer. Tracer and the
+// Chrome form of Pipetrace both write through it.
+type traceArray struct {
+	w      *bufio.Writer
+	events int
+}
+
+func newTraceArray(w io.Writer) traceArray {
+	a := traceArray{w: bufio.NewWriterSize(w, 1<<16)}
+	a.w.WriteString("[\n") //nolint:errcheck // bufio defers errors to Flush
+	return a
+}
+
+// next returns the writer for one more event, separated from the last.
+func (a *traceArray) next() *bufio.Writer {
+	if a.events > 0 {
+		a.w.WriteString(",\n") //nolint:errcheck
+	}
+	a.events++
+	return a.w
+}
+
+// end terminates the array and flushes.
+func (a *traceArray) end() error {
+	a.w.WriteString("\n]\n") //nolint:errcheck
+	return a.w.Flush()
+}
+
 // Tracer emits host-side spans as a Chrome trace_event JSON array —
-// the same format obs.Pipetrace uses for the simulated pipeline, so a
+// the same format Pipetrace uses for the simulated pipeline, so a
 // run's host spans and its pipetraces load into one Perfetto session.
 //
 // Spans form a tree: Begin starts a root, Span.Child a nested span on
@@ -24,9 +53,8 @@ import (
 // thread spans without guarding (matching the core.Probe convention).
 type Tracer struct {
 	mu     sync.Mutex
-	w      *bufio.Writer
+	arr    traceArray
 	epoch  time.Time
-	events int
 	nextID uint64
 	closed bool
 }
@@ -34,9 +62,7 @@ type Tracer struct {
 // NewTracer starts a tracer writing to w. Call Close to finish the
 // JSON array.
 func NewTracer(w io.Writer) *Tracer {
-	t := &Tracer{w: bufio.NewWriterSize(w, 1<<16), epoch: time.Now()}
-	t.w.WriteString("[\n")
-	return t
+	return &Tracer{arr: newTraceArray(w), epoch: time.Now()}
 }
 
 // Span is one in-flight unit of host work. End completes it; child
@@ -146,11 +172,7 @@ func (t *Tracer) emit(name, cat string, id, parent, tid uint64, start time.Time,
 	if t.closed {
 		return
 	}
-	if t.events > 0 {
-		t.w.WriteString(",\n")
-	}
-	t.events++
-	fmt.Fprintf(t.w,
+	fmt.Fprintf(t.arr.next(),
 		`{"name":%q,"cat":%q,"ph":"X","ts":%d,"dur":%d,"pid":1,"tid":%d,"args":{"id":%d,"parent":%d}}`,
 		escape(name), cat, ts, us, tid, id, parent)
 }
@@ -172,6 +194,5 @@ func (t *Tracer) Close() error {
 		return nil
 	}
 	t.closed = true
-	t.w.WriteString("\n]\n")
-	return t.w.Flush()
+	return t.arr.end()
 }

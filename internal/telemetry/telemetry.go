@@ -1,41 +1,24 @@
-// Package telemetry is the host-side observability layer: where
-// internal/obs makes the *simulated machine* observable (PR 4's probe
-// sinks), this package makes the *host infrastructure* observable — the
-// process-wide result cache and worker pool (internal/exp), the streamed
-// sampling pipeline (internal/sample), and the differential harness
-// (internal/gen/diff).
+// Package telemetry is the observability layer for both the simulated
+// machine and the host that runs it.
 //
-// It has three parts:
+// The machine is observed through core.Probe sinks (probe.go): a per-uop
+// pipetrace, the dynamic-predication episode timeline, an interval
+// Stats sampler and a progress probe. Host work (internal/sched, exp,
+// sample, gen/diff and serve) is observed through three stores, each
+// the one home of what it holds: the feed (feed.go) holds lifecycle
+// events, the metrics Registry (metrics.go) holds measurements, and the
+// span Tracer (span.go) holds the timeline. Attach and Set.Finish are
+// the CLIs' one start/finish pair; with a directory they record the
+// artifacts dmpobs -telemetry validates (dir.go).
 //
-//   - a process-wide metrics Registry of counters, gauges and
-//     fixed-bucket histograms (metrics.go). Metric hot paths are atomic
-//     and allocation-free; Snapshot/Delta mirror core.Stats.Delta, and a
-//     snapshot writes itself as Prometheus text or JSON.
-//   - a span Tracer (span.go) emitting Chrome trace_event JSON, so a
-//     whole experiment run (suite → experiment → simulation →
-//     sample-pipeline stage → interval job) loads into one Perfetto
-//     timeline next to the machine-level pipetraces.
-//   - a structured progress-event Feed (feed.go): JSONL writer plus an
-//     in-process subscriber API. It replaces dmpexp's ad-hoc stderr
-//     timing/hit-miss lines and is the stream a future dmpserve daemon
-//     serves over SSE.
-//
-// The perturbation contract inherits PR 4's two halves: with telemetry
-// disabled the instrumentation costs only atomic counter updates and
-// nil-pointer compares on host-side (never simulated) code paths,
-// measured within noise (<2%, BENCH_telemetry.json); with telemetry
-// fully attached every golden experiment table stays byte-identical,
-// because nothing here touches core.Config, core.Stats or any simulated
-// state (pinned by TestTelemetryDoesNotPerturb). No telemetry knob
-// enters Config.Canonical().
-//
-// Activation is process-global, mirroring the process-global things it
-// observes (the exp result cache and worker pool): Enable installs a
-// *Set, Active returns it (nil = disabled). Metrics are package
-// variables registered at init and always live — an atomic add is
-// cheaper than a branch-and-load dance and keeps the hot path
-// branch-free — while spans and feed events, which allocate and write,
-// are emitted only behind a nil check on the active Set.
+// Nothing here touches core.Config, core.Stats or any simulated state,
+// so attaching any of it leaves every golden table byte-identical
+// (pinned by TestObserversDoNotPerturb and TestTelemetryDoesNotPerturb).
+// Detached, the cost is a nil compare per probe hook site and, on host
+// paths, atomic metric updates plus a nil check on the active Set:
+// Enable installs the process-global Set, Active returns it (nil =
+// disabled), and spans and feed events are emitted only behind that
+// check.
 package telemetry
 
 import (
@@ -43,21 +26,27 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// Set bundles one process's attached telemetry: the registry it
-// snapshots, the span tracer, and the progress feed. Construct with
-// New; a nil *Set is the disabled state and every method on it is a
-// cheap no-op, so call sites need no branching of their own.
+// Set bundles one process's attached telemetry: the span tracer and the
+// lifecycle feed (measurements live in DefaultRegistry, always on).
+// Construct with New or Attach; a nil *Set is the disabled state, on
+// which the accessors and Close are cheap no-ops, so call sites need no
+// branching of their own.
 type Set struct {
-	reg    *Registry
 	tracer *Tracer
 	feed   *Feed
 
-	mu       sync.Mutex
-	lastSnap Snapshot // basis of the next EmitMetrics delta
-	closers  []io.Closer
-	closed   bool
+	mu      sync.Mutex
+	closers []io.Closer
+	closed  bool
+
+	// The run Attach started, which Finish ends.
+	dir      string
+	root     *Span
+	start    time.Time
+	progress *Progress
 }
 
 // Options configures New. Any writer may be nil to disable that output;
@@ -66,35 +55,70 @@ type Options struct {
 	// SpanW receives the Chrome trace_event JSON array of host-side
 	// spans (Perfetto-loadable).
 	SpanW io.Writer
-	// EventW receives the progress feed as JSON Lines.
+	// EventW receives the lifecycle feed as JSON Lines.
 	EventW io.Writer
-	// Registry overrides the process default registry (tests).
-	Registry *Registry
-	// Closers are closed (in reverse order) by Set.Close, after the
-	// tracer and feed flush — typically the underlying files.
-	Closers []io.Closer
 }
 
 // New builds a telemetry set. It does not install it; call Enable.
 func New(o Options) *Set {
-	reg := o.Registry
-	if reg == nil {
-		reg = DefaultRegistry()
-	}
-	s := &Set{reg: reg, feed: NewFeed(o.EventW), closers: o.Closers}
+	s := &Set{feed: NewFeed(o.EventW)}
 	if o.SpanW != nil {
 		s.tracer = NewTracer(o.SpanW)
 	}
 	return s
 }
 
-// Registry returns the set's metrics registry (the process default
-// unless overridden). Nil-safe: a nil set returns the default registry.
-func (s *Set) Registry() *Registry {
-	if s == nil {
-		return DefaultRegistry()
+// Attach starts a process's telemetry run: it builds a set, enables it,
+// opens a root span called name and emits a run-start event carrying
+// msg. With dir set the set records the artifacts there (see dir.go);
+// with dir empty it writes nothing, but the feed still reaches its
+// subscribers and the registry still counts. End the run with Finish.
+func Attach(dir, name, msg string) (*Set, error) {
+	s := New(Options{})
+	if dir != "" {
+		var err error
+		if s, err = openDir(dir); err != nil {
+			return nil, err
+		}
+		s.dir = dir
 	}
-	return s.reg
+	Enable(s)
+	s.start = time.Now()
+	s.root = s.tracer.Begin(name, "run")
+	s.feed.Emit(Event{Kind: "run-start", Name: name, Msg: msg})
+	return s, nil
+}
+
+// Render draws the feed's progress on w with a Progress renderer (in
+// place on a terminal, one line per progress event otherwise) until
+// Finish.
+func (s *Set) Render(w io.Writer) {
+	s.progress = NewProgress(w, isTerminal(w))
+	s.feed.Subscribe(s.progress.Event)
+}
+
+// Root returns the root span Attach opened (nil without a tracer, and
+// a nil *Span is inert).
+func (s *Set) Root() *Span {
+	if s == nil {
+		return nil
+	}
+	return s.root
+}
+
+// Finish ends the run Attach started: a run-end event carrying the wall
+// seconds, the root span's end, Close, and Enable(nil). With an output
+// directory it then records the final metrics snapshot there.
+func (s *Set) Finish() error {
+	s.feed.Emit(Event{Kind: "run-end", V: time.Since(s.start).Seconds()})
+	s.root.End()
+	err := s.Close()
+	s.progress.Finish()
+	Enable(nil)
+	if s.dir != "" {
+		err = errors.Join(err, writeMetrics(s.dir, DefaultRegistry().Snapshot()))
+	}
+	return err
 }
 
 // Tracer returns the span tracer, or nil when the set is nil or was
@@ -107,7 +131,7 @@ func (s *Set) Tracer() *Tracer {
 	return s.tracer
 }
 
-// Feed returns the progress feed, or nil on a nil set (a nil *Feed is
+// Feed returns the lifecycle feed, or nil on a nil set (a nil *Feed is
 // inert).
 func (s *Set) Feed() *Feed {
 	if s == nil {
@@ -116,58 +140,23 @@ func (s *Set) Feed() *Feed {
 	return s.feed
 }
 
-// EmitMetrics publishes a "metrics" progress event carrying the delta
-// of every registered metric since the previous EmitMetrics (or since
-// Enable). The final delta is emitted by Close against the exact
-// snapshot Close then reports, so the deltas on the feed always sum to
-// the final snapshot — the invariant dmpobs -telemetry validates.
-func (s *Set) EmitMetrics() {
+// Close flushes the tracer and feed and closes the files behind them.
+// Idempotent.
+func (s *Set) Close() error {
 	if s == nil {
-		return
+		return nil
 	}
 	s.mu.Lock()
-	snap := s.reg.Snapshot()
-	delta := snap.Delta(s.lastSnap)
-	s.lastSnap = snap
-	s.mu.Unlock()
-	s.feed.Emit(Event{Kind: "metrics", Metrics: &delta})
-}
-
-// Close emits the final metrics delta, flushes the tracer and feed, and
-// closes the attached closers. It returns the final metrics snapshot —
-// the one the emitted deltas sum to — so the caller can write it out.
-func (s *Set) Close() (Snapshot, error) {
-	if s == nil {
-		return Snapshot{}, nil
-	}
-	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		last := s.lastSnap
-		s.mu.Unlock()
-		return last, nil
+		return nil
 	}
 	s.closed = true
-	snap := s.reg.Snapshot()
-	delta := snap.Delta(s.lastSnap)
-	s.lastSnap = snap
-	s.mu.Unlock()
-
-	s.feed.Emit(Event{Kind: "metrics", Metrics: &delta})
-	var errs []error
-	if s.tracer != nil {
-		if err := s.tracer.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if err := s.feed.Close(); err != nil {
-		errs = append(errs, err)
-	}
+	errs := []error{s.tracer.Close(), s.feed.Close()}
 	for i := len(s.closers) - 1; i >= 0; i-- {
-		if err := s.closers[i].Close(); err != nil {
-			errs = append(errs, err)
-		}
+		errs = append(errs, s.closers[i].Close())
 	}
-	return snap, errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
 // --- process-global activation ---
@@ -183,12 +172,6 @@ func Enable(s *Set) { active.Store(s) }
 // The load is one atomic pointer read; instrumentation sites call it
 // once per logical operation, never per hot-loop iteration.
 func Active() *Set { return active.Load() }
-
-// ActiveTracer returns the active set's tracer (nil when disabled).
-func ActiveTracer() *Tracer { return Active().Tracer() }
-
-// ActiveFeed returns the active set's feed (nil when disabled).
-func ActiveFeed() *Feed { return Active().Feed() }
 
 // Emit publishes an event on the active feed, if any.
 func Emit(ev Event) { Active().Feed().Emit(ev) }

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -65,7 +67,7 @@ func TestHistogramBoundsMustAscend(t *testing.T) {
 	r.Histogram("h", "", []float64{1, 1})
 }
 
-func TestSnapshotDeltaAddRoundTrip(t *testing.T) {
+func TestSnapshotDelta(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c", "")
 	g := r.Gauge("g", "")
@@ -95,15 +97,6 @@ func TestSnapshotDeltaAddRoundTrip(t *testing.T) {
 	}
 	if d.Histograms[0].Buckets[0] != 0 || d.Histograms[0].Buckets[1] != 1 {
 		t.Fatalf("hist delta buckets = %v", d.Histograms[0].Buckets)
-	}
-
-	// first + delta must reproduce second exactly (the dmpobs
-	// validation invariant).
-	back := first.Add(d)
-	bj, _ := json.Marshal(back)
-	sj, _ := json.Marshal(second)
-	if !bytes.Equal(bj, sj) {
-		t.Fatalf("Add(Delta) round trip:\n got %s\nwant %s", bj, sj)
 	}
 }
 
@@ -255,11 +248,10 @@ func TestNilSafety(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s.EmitMetrics()
-	if _, err := s.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Registry() == nil || s.Tracer() != nil || s.Feed() != nil {
+	if s.Tracer() != nil || s.Feed() != nil {
 		t.Fatal("nil Set accessors")
 	}
 	if err := tr.Close(); err != nil {
@@ -295,61 +287,67 @@ func TestFeedJSONLAndSubscribers(t *testing.T) {
 	}
 }
 
-func TestSetDeltasSumToFinal(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c", "")
-	var events bytes.Buffer
-	s := New(Options{EventW: &events, Registry: r})
-
-	c.Add(10)
-	s.EmitMetrics()
-	c.Add(5)
-	s.EmitMetrics()
-	c.Add(1)
-	final, err := s.Close()
+// TestAttachFinish drives the CLI start/finish pair into a directory:
+// the four artifacts appear, the feed is framed by one run-start and
+// one run-end, the root span is recorded, and telemetry is disabled
+// again afterwards.
+func TestAttachFinish(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Attach(dir, "test", "args")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Counters[0].Value != 16 {
-		t.Fatalf("final = %d, want 16", final.Counters[0].Value)
+	if Active() != s {
+		t.Fatal("Attach did not enable the set")
 	}
-
-	// Fold the emitted deltas back together; they must equal the final
-	// snapshot Close returned.
-	var sum Snapshot
-	nmetrics := 0
-	for _, line := range strings.Split(strings.TrimSpace(events.String()), "\n") {
-		var ev Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev.Kind != "metrics" {
-			continue
-		}
-		nmetrics++
-		if nmetrics == 1 {
-			sum = *ev.Metrics
-		} else {
-			sum = sum.Add(*ev.Metrics)
+	s.Root().Child("stage", "t").End()
+	if err := s.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if Active() != nil {
+		t.Fatal("Finish left telemetry enabled")
+	}
+	if err := s.Close(); err != nil { // idempotent after Finish
+		t.Fatal(err)
+	}
+	for _, name := range []string{SpansFile, EventsFile, MetricsFile, MetricsPromFile} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("artifact %s: %v", name, err)
 		}
 	}
-	if nmetrics != 3 {
-		t.Fatalf("got %d metrics events, want 3", nmetrics)
-	}
-	fj, _ := json.Marshal(final)
-	sj, _ := json.Marshal(sum)
-	if !bytes.Equal(fj, sj) {
-		t.Fatalf("delta sum != final:\n got %s\nwant %s", sj, fj)
-	}
-
-	// Close is idempotent and keeps returning the final snapshot.
-	again, err := s.Close()
+	events, err := os.ReadFile(filepath.Join(dir, EventsFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	aj, _ := json.Marshal(again)
-	if !bytes.Equal(aj, fj) {
-		t.Fatal("second Close changed the snapshot")
+	lines := strings.Split(strings.TrimSpace(string(events)), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], `"run-start"`) || !strings.Contains(lines[1], `"run-end"`) {
+		t.Fatalf("events not framed by run-start/run-end:\n%s", events)
+	}
+	var spans []traceEvent
+	data, err := os.ReadFile(filepath.Join(dir, SpansFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &spans); err != nil || len(spans) != 2 {
+		t.Fatalf("spans.json: %d spans, err %v:\n%s", len(spans), err, data)
+	}
+
+	// Without a directory the set records nothing but still feeds
+	// subscribers.
+	s, err = Attach("", "test", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	s.Feed().Subscribe(func(ev Event) { got = append(got, ev.Kind) })
+	if s.Root() != nil {
+		t.Fatal("in-memory set opened a span")
+	}
+	if err := s.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != "run-end" {
+		t.Fatalf("subscriber got %v, want [run-end]", got)
 	}
 }
 
@@ -357,13 +355,13 @@ func TestEnableActive(t *testing.T) {
 	if Active() != nil {
 		t.Fatal("telemetry active at test start")
 	}
-	s := New(Options{Registry: NewRegistry()})
+	s := New(Options{})
 	Enable(s)
 	if Active() != s {
 		t.Fatal("Active did not return the enabled set")
 	}
 	Enable(nil)
-	if Active() != nil || ActiveTracer() != nil || ActiveFeed() != nil {
+	if Active() != nil || Active().Tracer() != nil || Active().Feed() != nil {
 		t.Fatal("disable did not clear")
 	}
 	Emit(Event{Kind: "x"}) // no-op when disabled
@@ -373,9 +371,6 @@ func TestProgressRenderer(t *testing.T) {
 	var b bytes.Buffer
 	p := NewProgress(&b, true)
 	p.Event(Event{Kind: "progress", N: 1, V: 3, Msg: "mcf", T: 1})
-	p.mu.Lock()
-	p.lastDraw = time.Time{} // defeat the repaint rate limit
-	p.mu.Unlock()
 	p.Event(Event{Kind: "simulation", Msg: "miss", T: 1.5})
 	p.Finish()
 	out := b.String()
@@ -392,12 +387,22 @@ func TestProgressRenderer(t *testing.T) {
 		t.Fatalf("Finish did not terminate the line: %q", out)
 	}
 
-	// Non-TTY mode prints plain lines, no carriage returns.
+	if n := strings.Count(out, "\r"); n != 2 {
+		t.Fatalf("tty renderer repainted %d times for 2 events: %q", n, out)
+	}
+
+	// Non-TTY mode prints one plain line per progress event and nothing
+	// for the others.
 	b.Reset()
 	p2 := NewProgress(&b, false)
 	p2.Event(Event{Kind: "progress", N: 2, V: 3, T: 2})
+	p2.Event(Event{Kind: "simulation", Msg: "hit", T: 2.5})
+	p2.Event(Event{Kind: "progress", N: 3, V: 3, T: 3})
 	p2.Finish()
 	if strings.Contains(b.String(), "\r") {
 		t.Fatalf("pipe renderer used \\r: %q", b.String())
+	}
+	if n := strings.Count(b.String(), "\n"); n != 2 {
+		t.Fatalf("pipe renderer printed %d lines for 2 progress events: %q", n, b.String())
 	}
 }

@@ -15,7 +15,8 @@ func kindWord(t types.Type) string {
 }
 
 // HotAlloc guards the per-cycle pipeline loop of internal/core (and the
-// internal/obs sinks that ride it) against the costs PR 1 removed:
+// internal/telemetry probe sinks that ride it) against the costs PR 1
+// removed:
 //
 //   - any sort.Slice/SliceStable/Sort/Stable call in the package — the
 //     scheduler is sort-free by design (age order falls out of the
@@ -32,11 +33,12 @@ func kindWord(t types.Type) string {
 //     allocation-free, safe at any rate) nor inside an `if x != nil`
 //     guard: spans and feed events allocate and take locks, so hot
 //     loops may only reach them behind a nil check that is false when
-//     telemetry is detached.
+//     telemetry is detached. Calls inside internal/telemetry itself are
+//     the sinks' own code, which the allocation rules above cover.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "flag sorting, per-cycle allocation, and unguarded probe/telemetry emission in the pipeline loop",
-	Packages: []string{"dmp/internal/core", "dmp/internal/obs", "dmp/internal/merge", "dmp/internal/cow",
+	Packages: []string{"dmp/internal/core", "dmp/internal/merge", "dmp/internal/cow",
 		"dmp/internal/sample", "dmp/internal/telemetry", "dmp/internal/sched", "dmp/internal/store"},
 	Run: runHotAlloc,
 }
@@ -138,7 +140,7 @@ func checkHotBody(pass *Pass, fd *ast.FuncDecl) {
 					sel.Sel.Name, name)
 			}
 			if fn := calleeFunc(pass.Info, x); fn != nil && fn.Pkg() != nil &&
-				fn.Pkg().Path() == "dmp/internal/telemetry" &&
+				fn.Pkg().Path() == "dmp/internal/telemetry" && fn.Pkg() != pass.Pkg &&
 				!telemetryHotSafe[fn.Name()] && !inRanges(nilGuarded, x.Pos()) {
 				pass.Reportf(x.Pos(),
 					"unguarded telemetry.%s call in hot-path function %s: only the atomic metric ops (Inc/Add/Set/Observe/Value) may run unguarded; wrap emission in an `if x != nil` guard",

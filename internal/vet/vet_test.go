@@ -131,9 +131,6 @@ func TestAnalyzerApplies(t *testing.T) {
 	if !HotAlloc.applies("dmp/internal/core") {
 		t.Error("hotalloc must run on core")
 	}
-	if !HotAlloc.applies("dmp/internal/obs") {
-		t.Error("hotalloc must run on the obs sinks (their Uop callbacks ride the hot path)")
-	}
 	if HotAlloc.applies("dmp/cmd/dmpobs") {
 		t.Error("hotalloc must not run on the offline summarizer")
 	}
@@ -144,7 +141,7 @@ func TestAnalyzerApplies(t *testing.T) {
 		t.Error("hotalloc must run on the sampling driver's consumer loop")
 	}
 	if !HotAlloc.applies("dmp/internal/telemetry") {
-		t.Error("hotalloc must run on telemetry (its metric hot paths promise zero allocation)")
+		t.Error("hotalloc must run on telemetry (its metric hot paths promise zero allocation, and its probe sinks' Uop callbacks ride the pipeline)")
 	}
 	if !Canonical.applies("dmp/internal/core") {
 		t.Error("canonical must run on core (Config.Canonical lives there)")
