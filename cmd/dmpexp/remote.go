@@ -32,7 +32,7 @@ func runRemote(base string, ids []string, opts exp.Options) int {
 		fmt.Fprintf(os.Stderr, "dmpexp: remote: %v\n", err)
 		return 1
 	}
-	url := strings.TrimSuffix(base, "/") + "/v1/experiments?wait=1"
+	url := strings.TrimSuffix(base, "/") + "/v1/experiments"
 	req, err := http.NewRequest("POST", url, bytes.NewReader(body))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dmpexp: remote: %v\n", err)

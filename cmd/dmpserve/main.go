@@ -16,19 +16,17 @@
 //	curl -s localhost:8080/v1/runs -d '{"bench":"mcf","mode":"enhanced"}'
 //	curl -s localhost:8080/metrics
 //
-// POST /v1/runs and /v1/experiments accept ?wait=1 to block until the
-// result is ready; otherwise they answer 202 with a run id to poll at
-// GET /v1/runs/{id} or stream at GET /v1/runs/{id}/events (server-sent
-// events off the host telemetry feed). The daemon runs two requests at
-// a time and queues up to 64 more; beyond that it sheds load with 429
-// and a fixed Retry-After of one second.
+// POST /v1/runs and /v1/experiments answer in the request: the
+// response is the finished result (state done or failed) with 200.
+// A ?wait=1 query is accepted and ignored. The daemon runs two
+// requests at a time and queues up to 64 more; beyond that it sheds
+// load with 429 and a fixed Retry-After of one second.
 //
 // -telemetry-out DIR records the host telemetry artifacts (spans.json,
 // events.jsonl, metrics.json/.prom), finished on shutdown, in the same
 // format dmpexp -telemetry-out writes and dmpobs -telemetry validates.
-// Without it the daemon still runs an in-memory telemetry set: the
-// lifecycle feed drives the SSE endpoint and the metrics registry
-// drives /metrics.
+// Without it nothing is recorded. /metrics serves the process-wide
+// metrics registry either way.
 //
 // SIGINT/SIGTERM shut down gracefully: stop admitting (new POSTs get
 // 429), drain accepted requests, flush telemetry, exit.
@@ -65,8 +63,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The daemon always runs with an attached telemetry set: its feed is
-	// what the SSE endpoint streams. -telemetry-out also records it.
+	// The attached set parents one span per request; -telemetry-out
+	// records it.
 	tel, err := telemetry.Attach(*telemetryOut, "dmpserve", "listen "+*listen)
 	if err != nil {
 		fail("telemetry: %v", err)

@@ -116,21 +116,9 @@ func main() {
 		return
 	}
 
-	cfg := core.DefaultConfig()
-	switch *mode {
-	case "baseline":
-	case "perfect":
-		cfg.Mode = core.ModePerfect
-	case "dmp":
-		cfg.Mode = core.ModeDMP
-	case "dhp":
-		cfg.Mode = core.ModeDHP
-	case "dualpath":
-		cfg.Mode = core.ModeDualPath
-	case "enhanced":
-		cfg = core.EnhancedDMPConfig()
-	default:
-		fatal("unknown -mode %q", *mode)
+	cfg, err := core.ModeConfig(*mode)
+	if err != nil {
+		fatal("-mode: %v", err)
 	}
 	cfg.ConfidenceName = *conf
 	cfg.PredictorName = *predName

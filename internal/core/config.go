@@ -238,6 +238,29 @@ func DHPConfig() Config {
 	return c
 }
 
+// ModeConfig returns the machine a mode name selects: baseline,
+// perfect, dmp, dhp, dualpath or enhanced, the vocabulary of dmpsim
+// -mode and of dmpserve's run requests. "" is the baseline.
+func ModeConfig(name string) (Config, error) {
+	c := DefaultConfig()
+	switch name {
+	case "", "baseline":
+	case "perfect":
+		c.Mode = ModePerfect
+	case "dmp":
+		c = DMPConfig()
+	case "dhp":
+		c = DHPConfig()
+	case "dualpath":
+		c.Mode = ModeDualPath
+	case "enhanced":
+		c = EnhancedDMPConfig()
+	default:
+		return c, fmt.Errorf("unknown mode %q (want baseline, perfect, dmp, dhp, dualpath or enhanced)", name)
+	}
+	return c, nil
+}
+
 // Canonical returns a semantically equivalent Config normalized for use
 // as a cache key. Config is a flat comparable struct, so the canonical
 // value can index a map directly; two configurations that would drive

@@ -222,3 +222,31 @@ func TestValidateWarmMode(t *testing.T) {
 		t.Error("Validate accepted an unknown warm mode")
 	}
 }
+
+// TestModeConfig pins the mode vocabulary shared by dmpsim -mode and
+// dmpserve: each name maps to its constructor's machine, and an
+// unknown name is an error.
+func TestModeConfig(t *testing.T) {
+	withMode := func(m Mode) Config {
+		c := DefaultConfig()
+		c.Mode = m
+		return c
+	}
+	for name, want := range map[string]Config{
+		"":         DefaultConfig(),
+		"baseline": DefaultConfig(),
+		"perfect":  withMode(ModePerfect),
+		"dmp":      DMPConfig(),
+		"dhp":      DHPConfig(),
+		"dualpath": withMode(ModeDualPath),
+		"enhanced": EnhancedDMPConfig(),
+	} {
+		got, err := ModeConfig(name)
+		if err != nil || got != want {
+			t.Errorf("ModeConfig(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	if _, err := ModeConfig("warp"); err == nil {
+		t.Error(`ModeConfig("warp") returned no error`)
+	}
+}

@@ -73,10 +73,8 @@ func runOneCached(bench string, cfg core.Config, o Options, loops bool) (*core.S
 	return simCache.Do(key, sched.Job{
 		Pool: sched.Shared(o.Parallel),
 		Span: o.Span,
-		Run: func(sp *telemetry.Span) (*core.Stats, error) {
-			so := o
-			so.Span = sp // sampled runs hang their stage spans under the simulation
-			return simulate(bench, cfg, so, loops)
+		Run: func(*telemetry.Span) (*core.Stats, error) {
+			return simulate(bench, cfg, o, loops)
 		},
 	})
 }
@@ -91,27 +89,19 @@ func RunOne(bench string, cfg core.Config, o Options, loops bool) (*core.Stats, 
 }
 
 // simulate is the uncached simulation behind runOneCached: one benchmark,
-// one machine configuration, one run. The result is detached from the
-// Machine (Clone) so the cache does not pin simulator state. A SampleMode
-// config dispatches to the sampling driver (internal/sample) and caches
-// the extrapolated Stats; Config.Canonical keeps SampleMode in the key,
-// so a sampled result can never alias the exact result.
+// one machine configuration, one exact run. The result is detached from
+// the Machine (Clone) so the cache does not pin simulator state. Sampled
+// runs go through sampleCached instead; a SampleMode config here is an
+// error, so it can never run exactly and be cached under a sampled key.
 func simulate(bench string, cfg core.Config, o Options, loops bool) (*core.Stats, error) {
+	if cfg.SampleMode {
+		return nil, fmt.Errorf("exp: %s: sampled configs run through the sampling experiment, not as one exact run", bench)
+	}
 	p, err := annotatedCached(bench, o.Scale, loops)
 	if err != nil {
 		return nil, err
 	}
 	cfg.CheckRetirement = o.Check
-	if cfg.SampleMode {
-		// The calling goroutine holds a worker slot for the whole sampled
-		// run; handing the pool down lets interval jobs use idle slots
-		// (try-acquire — a full pool runs intervals inline, no deadlock).
-		res, err := sample.Run(p, cfg, sample.Options{Slots: workerSlots(o.Parallel), Span: o.Span})
-		if err != nil {
-			return nil, fmt.Errorf("under %v: %w", cfg.Mode, err)
-		}
-		return res.Extrapolated.Clone(), nil
-	}
 	m, err := core.New(p, cfg)
 	if err != nil {
 		return nil, err

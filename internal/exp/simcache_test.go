@@ -123,6 +123,16 @@ func TestSimCacheKeySeparatesVariants(t *testing.T) {
 	}
 }
 
+// TestRunOneRefusesSampledConfig pins that a SampleMode config cannot
+// run as one exact simulation: sampled runs belong to sampleCached.
+func TestRunOneRefusesSampledConfig(t *testing.T) {
+	cfg := core.EnhancedDMPConfig()
+	cfg.SampleMode = true
+	if st, err := RunOne("mcf", cfg, simOpts(), false); err == nil {
+		t.Fatalf("RunOne with SampleMode returned Stats %+v and no error", st)
+	}
+}
+
 // TestSimCacheConcurrentExperiments is the -race hammer: several
 // experiment generators with overlapping configuration needs run at once
 // against a cold cache, and every table must match a serial regeneration.

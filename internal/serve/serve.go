@@ -9,16 +9,15 @@
 //
 // Endpoints:
 //
-//	POST /v1/runs             one benchmark under one machine config
-//	POST /v1/experiments      paper tables/figures by experiment id
-//	GET  /v1/runs/{id}        request status (and result when done)
-//	GET  /v1/runs/{id}/events live telemetry feed for the run (SSE)
-//	GET  /metrics             Prometheus text exposition
-//	GET  /healthz, /readyz    liveness / readiness
+//	POST /v1/runs           one benchmark under one machine config
+//	POST /v1/experiments    paper tables/figures by experiment id
+//	GET  /metrics           Prometheus text exposition
+//	GET  /healthz, /readyz  liveness / readiness
 //
-// POST endpoints accept ?wait=1 to block until the result is ready
-// (the CLI client uses this) and answer 429 with a fixed Retry-After
-// of one second when the admission queue is full.
+// A POST answers in the request: the handler runs the job and writes
+// the final RunStatus with 200 (state done or failed). A ?wait=1 query
+// is accepted and ignored. When the admission queue is full a POST
+// answers 429 with a fixed Retry-After of one second.
 package serve
 
 import (
@@ -41,10 +40,6 @@ var (
 		"HTTP simulation requests accepted (runs + experiments)")
 	mFailed = telemetry.NewCounter("dmp_serve_requests_failed_total",
 		"accepted requests that finished with an error")
-	mSSEClients = telemetry.NewGauge("dmp_serve_sse_clients",
-		"server-sent-event subscribers currently connected")
-	mSSEDropped = telemetry.NewCounter("dmp_serve_sse_dropped_total",
-		"telemetry events dropped on slow SSE subscribers")
 	// Keeps its dmp_sched_ name: dmpbench reads it as sched.shed.
 	mShed = telemetry.NewCounter("dmp_sched_shed_total",
 		"requests refused at admission (overload or shutdown)")
@@ -74,12 +69,10 @@ type Config struct {
 	Span *telemetry.Span
 }
 
-// Server is the dmpserve HTTP handler plus its request registry and
-// admission queue. Create with New, serve with any http.Server,
-// release with Close.
+// Server is the dmpserve HTTP handler plus its admission queue. Create
+// with New, serve with any http.Server, release with Close.
 type Server struct {
 	cfg Config
-	hub *hub
 	mux *http.ServeMux
 
 	// admitted holds one token per admitted request (running or
@@ -90,31 +83,24 @@ type Server struct {
 	inflight sync.WaitGroup
 
 	mu     sync.Mutex
-	runs   map[string]*run
 	nextID uint64
 	closed bool
 }
 
 // New builds a Server and, when cfg.Store is set, installs it behind
-// the process-wide result cache. The active telemetry feed (if any) is
-// bridged to the SSE hub.
+// the process-wide result cache.
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
-		hub:      newHub(),
 		admitted: make(chan struct{}, maxRunning+maxQueued),
 		running:  make(chan struct{}, maxRunning),
-		runs:     make(map[string]*run),
 	}
 	if cfg.Store != nil {
 		exp.ResultCache().SetBacking(newStoreBacking(cfg.Store))
 	}
-	telemetry.Active().Feed().Subscribe(s.hub.publish)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", s.handleRun)
 	mux.HandleFunc("POST /v1/experiments", s.handleExperiments)
-	mux.HandleFunc("GET /v1/runs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /v1/runs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -190,11 +176,12 @@ type CacheDelta struct {
 	Simulated uint64 `json:"simulated"`
 }
 
-// RunStatus is the wire representation of one accepted request.
+// RunStatus is the response to one accepted request. ID names the
+// request's telemetry span and its request feed events.
 type RunStatus struct {
 	ID    string `json:"id"`
 	Kind  string `json:"kind"`  // "run" | "experiments"
-	State string `json:"state"` // queued | running | done | failed
+	State string `json:"state"` // done | failed
 	Error string `json:"error,omitempty"`
 	// Stats is the simulation result for kind "run".
 	Stats *core.Stats `json:"stats,omitempty"`
@@ -207,48 +194,6 @@ type RunStatus struct {
 
 type errorBody struct {
 	Error string `json:"error"`
-}
-
-// --- run registry ---
-
-type run struct {
-	mu   sync.Mutex
-	st   RunStatus
-	done chan struct{}
-}
-
-func (r *run) snapshot() RunStatus {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.st
-}
-
-func (r *run) update(mut func(*RunStatus)) {
-	r.mu.Lock()
-	mut(&r.st)
-	r.mu.Unlock()
-}
-
-func (s *Server) newRun(kind string) *run {
-	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("r%06d", s.nextID)
-	ru := &run{st: RunStatus{ID: id, Kind: kind, State: "queued"}, done: make(chan struct{})}
-	s.runs[id] = ru
-	s.mu.Unlock()
-	return ru
-}
-
-func (s *Server) lookup(id string) *run {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runs[id]
-}
-
-func (s *Server) dropRun(id string) {
-	s.mu.Lock()
-	delete(s.runs, id)
-	s.mu.Unlock()
 }
 
 // --- handlers ---
@@ -269,35 +214,6 @@ func decodeStrict(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
-}
-
-// configFor maps the request's mode vocabulary onto a machine
-// configuration, mirroring dmpsim -mode / -cfm-source.
-func configFor(mode, cfmSource string) (core.Config, error) {
-	cfg := core.DefaultConfig()
-	switch mode {
-	case "", "baseline":
-	case "perfect":
-		cfg.Mode = core.ModePerfect
-	case "dmp":
-		cfg.Mode = core.ModeDMP
-	case "dhp":
-		cfg.Mode = core.ModeDHP
-	case "dualpath":
-		cfg.Mode = core.ModeDualPath
-	case "enhanced":
-		cfg = core.EnhancedDMPConfig()
-	default:
-		return cfg, fmt.Errorf("unknown mode %q (want baseline, perfect, dmp, dhp, dualpath or enhanced)", mode)
-	}
-	switch cfmSource {
-	case "":
-	case "annotated", "dynamic", "hybrid":
-		cfg.CFMSource = cfmSource
-	default:
-		return cfg, fmt.Errorf("unknown cfm_source %q (want annotated, dynamic or hybrid)", cfmSource)
-	}
-	return cfg, nil
 }
 
 func (s *Server) options(scale int, check *bool) exp.Options {
@@ -322,13 +238,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "%v", err)
 		return
 	}
-	cfg, err := configFor(req.Mode, req.CFMSource)
+	cfg, err := core.ModeConfig(req.Mode)
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
 	}
+	cfg.CFMSource = req.CFMSource
+	if err := cfg.Validate(); err != nil {
+		badRequest(w, "%v", err)
+		return
+	}
 	o := s.options(req.Scale, req.Check)
-	s.submit(w, r, "run", func(sp *telemetry.Span) (*RunStatus, error) {
+	s.submit(w, "run", func(sp *telemetry.Span) (*RunStatus, error) {
 		ro := o
 		ro.Span = sp
 		st, err := exp.RunOne(req.Bench, cfg, ro, req.Loops)
@@ -368,7 +289,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	}
 	o := s.options(req.Scale, req.Check)
 	o.Benchmarks = req.Benchmarks
-	s.submit(w, r, "experiments", func(sp *telemetry.Span) (*RunStatus, error) {
+	s.submit(w, "experiments", func(sp *telemetry.Span) (*RunStatus, error) {
 		tables, err := runExperiments(ids, o, sp)
 		return &RunStatus{Tables: tables}, err
 	})
@@ -391,81 +312,58 @@ func (s *Server) admit() bool {
 	}
 }
 
-// submit runs the admission + registry + wait/async dance shared by the
-// POST endpoints. fn returns the result fields to merge into the final
-// status (Stats or Tables); its error marks the run failed. A ?wait=1
-// run leaves the registry when it completes: its client gets the result
-// in the response. An async (202) run stays pollable by id.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, fn func(*telemetry.Span) (*RunStatus, error)) {
+// submit admits one POST, runs fn on the handler goroutine once a
+// running slot is free, and answers 200 with the final status. fn
+// returns the result fields (Stats or Tables); its error marks the
+// request failed. A client that goes away does not stop the job.
+func (s *Server) submit(w http.ResponseWriter, kind string, fn func(*telemetry.Span) (*RunStatus, error)) {
 	if !s.admit() {
 		mShed.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "overloaded, retry later"})
 		return
 	}
+	defer s.inflight.Done()
 	mRequests.Inc()
-	wait := r.URL.Query().Get("wait")
-	blocking := wait == "1" || wait == "true"
-	ru := s.newRun(kind)
-	go func() {
-		defer s.inflight.Done()
-		s.running <- struct{}{}
-		s.execute(ru, fn)
-		<-s.running
-		<-s.admitted
-		if blocking {
-			s.dropRun(ru.snapshot().ID)
-		}
-		close(ru.done)
-	}()
-	if !blocking {
-		writeJSON(w, http.StatusAccepted, ru.snapshot())
-		return
-	}
-	select {
-	case <-ru.done:
-		writeJSON(w, http.StatusOK, ru.snapshot())
-	case <-r.Context().Done():
-		// Client went away; the run finishes anyway.
-	}
+	s.running <- struct{}{}
+	st := s.execute(kind, fn)
+	<-s.running
+	<-s.admitted
+	writeJSON(w, http.StatusOK, st)
 }
 
-// execute runs one admitted request: status transitions, the telemetry
-// span and feed events, and the scheduler-counter delta the response
-// reports.
-func (s *Server) execute(ru *run, fn func(*telemetry.Span) (*RunStatus, error)) {
-	id := ru.snapshot().ID
+// execute runs one admitted request: its id, the telemetry span and
+// feed events, and the scheduler-counter delta the response reports.
+func (s *Server) execute(kind string, fn func(*telemetry.Span) (*RunStatus, error)) RunStatus {
+	s.mu.Lock()
+	s.nextID++
+	id := fmt.Sprintf("r%06d", s.nextID)
+	s.mu.Unlock()
 	sp := s.cfg.Span.ChildAsync(id, "serve")
 	start := time.Now()
 	before := exp.ResultCache().Counts()
-	ru.update(func(st *RunStatus) { st.State = "running" })
 	telemetry.Emit(telemetry.Event{Kind: "request", Name: id, Msg: "start"})
 	res, err := fn(sp)
 	after := exp.ResultCache().Counts()
 	elapsed := time.Since(start).Seconds()
 	sp.End()
-	ru.update(func(st *RunStatus) {
-		st.ElapsedSeconds = elapsed
-		st.Counts = &CacheDelta{
+	st := RunStatus{ID: id, Kind: kind, State: "done", ElapsedSeconds: elapsed,
+		Counts: &CacheDelta{
 			Reused:    after.Hits - before.Hits,
 			StoreHits: after.StoreHits - before.StoreHits,
 			Simulated: after.Computed - before.Computed,
-		}
-		if res != nil {
-			st.Stats = res.Stats
-			st.Tables = res.Tables
-		}
-		if err != nil {
-			st.State = "failed"
-			st.Error = err.Error()
-		} else {
-			st.State = "done"
-		}
-	})
+		}}
+	if res != nil {
+		st.Stats = res.Stats
+		st.Tables = res.Tables
+	}
 	if err != nil {
+		st.State = "failed"
+		st.Error = err.Error()
 		mFailed.Inc()
 	}
 	telemetry.Emit(telemetry.Event{Kind: "request", Name: id, Msg: "done", V: elapsed})
+	return st
 }
 
 // runExperiments mirrors dmpexp's concurrent launch: every experiment
@@ -511,15 +409,6 @@ func runExperiments(ids []string, o exp.Options, sp *telemetry.Span) ([]TableRes
 		return tables, fmt.Errorf("%s", strings.Join(failed, "; "))
 	}
 	return tables, nil
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	ru := s.lookup(r.PathValue("id"))
-	if ru == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown run id"})
-		return
-	}
-	writeJSON(w, http.StatusOK, ru.snapshot())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

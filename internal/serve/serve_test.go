@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -40,7 +39,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, RunStatus) {
 	}
 	defer resp.Body.Close()
 	var st RunStatus
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
+	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			t.Fatalf("decode response: %v", err)
 		}
@@ -197,6 +196,7 @@ func TestConcurrentClientsCoalesce(t *testing.T) {
 }
 
 // TestRunEndpoint covers the single-run path and its error statuses.
+// A POST answers in the request with or without ?wait=1.
 func TestRunEndpoint(t *testing.T) {
 	exp.ResetResults()
 	srv := New(Config{})
@@ -213,11 +213,12 @@ func TestRunEndpoint(t *testing.T) {
 		t.Fatalf("unexpected run result: state %q stats %+v", st.State, st.Stats)
 	}
 
-	// A repeat is a cache hit, not a new simulation.
-	resp2, st2 := postJSON(t, ts.URL+"/v1/runs?wait=1",
+	// A repeat without ?wait=1 is answered the same way, from the cache.
+	resp2, st2 := postJSON(t, ts.URL+"/v1/runs",
 		map[string]any{"bench": "mcf", "mode": "enhanced", "scale": 1})
-	if resp2.StatusCode != http.StatusOK || st2.Counts.Simulated != 0 {
-		t.Fatalf("repeat run: status %d counts %+v, want 200 and 0 simulated", resp2.StatusCode, st2.Counts)
+	if resp2.StatusCode != http.StatusOK || st2.State != "done" || st2.Counts.Simulated != 0 {
+		t.Fatalf("repeat run: status %d state %q counts %+v, want 200, done and 0 simulated",
+			resp2.StatusCode, st2.State, st2.Counts)
 	}
 	if *st.Stats != *st2.Stats {
 		t.Fatal("repeat run returned different stats")
@@ -226,6 +227,7 @@ func TestRunEndpoint(t *testing.T) {
 	for name, body := range map[string]map[string]any{
 		"unknown bench": {"bench": "nope"},
 		"unknown mode":  {"bench": "mcf", "mode": "warp"},
+		"unknown cfm":   {"bench": "mcf", "mode": "dmp", "cfm_source": "psychic"},
 		"missing bench": {"mode": "dmp"},
 		"unknown field": {"bench": "mcf", "turbo": true},
 	} {
@@ -233,15 +235,6 @@ func TestRunEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
-	}
-
-	resp3, err := http.Get(ts.URL + "/v1/runs/r999999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown id: status %d, want 404", resp3.StatusCode)
 	}
 }
 
@@ -263,25 +256,34 @@ func TestClosedServerSheds(t *testing.T) {
 	}
 }
 
-// holdRun admits an async request whose job reports its name on
-// started and then blocks until release is called. Release also runs
-// at test cleanup, ahead of any srv.Close cleanup registered earlier,
-// so a failing test cannot leave Close waiting on a held job.
-func holdRun(t *testing.T, srv *Server, name string, started chan<- string) (release func()) {
+// holdRun starts a blocking submit on its own goroutine, whose job
+// reports its name on started and then blocks until release is called.
+// It returns once the request holds an admission token; done yields the
+// response when submit returns. Release also runs at test cleanup,
+// ahead of any srv.Close cleanup registered earlier, so a failing test
+// cannot leave Close waiting on a held job.
+func holdRun(t *testing.T, srv *Server, name string, started chan<- string) (release func(), done <-chan *httptest.ResponseRecorder) {
 	t.Helper()
 	gate := make(chan struct{})
 	release = sync.OnceFunc(func() { close(gate) })
 	t.Cleanup(release)
-	rec := httptest.NewRecorder()
-	srv.submit(rec, httptest.NewRequest("POST", "/v1/runs", nil), "run", func(*telemetry.Span) (*RunStatus, error) {
-		started <- name
-		<-gate
-		return &RunStatus{}, nil
-	})
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("%s: status %d, want 202", name, rec.Code)
+	admitted := len(srv.admitted)
+	resp := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		srv.submit(rec, "run", func(*telemetry.Span) (*RunStatus, error) {
+			started <- name
+			<-gate
+			return &RunStatus{}, nil
+		})
+		resp <- rec
+	}()
+	for deadline := time.Now().Add(5 * time.Second); len(srv.admitted) == admitted; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: never admitted", name)
+		}
 	}
-	return release
+	return release, resp
 }
 
 func shedCount() uint64 {
@@ -304,11 +306,11 @@ func TestOverloadSheds(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	started := make(chan string, 2)
-	releaseA := holdRun(t, srv, "a", started)
+	releaseA, _ := holdRun(t, srv, "a", started)
 	if got := <-started; got != "a" {
 		t.Fatalf("first started %q, want a", got)
 	}
-	releaseB := holdRun(t, srv, "b", started)
+	releaseB, _ := holdRun(t, srv, "b", started)
 	select {
 	case got := <-started:
 		t.Fatalf("%s started while a held the only running slot", got)
@@ -345,7 +347,7 @@ func TestCloseDrainsAdmitted(t *testing.T) {
 	defer ts.Close()
 
 	started := make(chan string, 1)
-	release := holdRun(t, srv, "a", started)
+	release, done := holdRun(t, srv, "a", started)
 	<-started
 	closed := make(chan struct{})
 	go func() {
@@ -381,45 +383,13 @@ func TestCloseDrainsAdmitted(t *testing.T) {
 
 	release()
 	<-closed
-	st := srv.lookup("r000001").snapshot()
-	if st.State != "done" {
-		t.Fatalf("admitted run state %q after Close, want done", st.State)
+	rec := <-done
+	var st RunStatus
+	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
+		t.Fatalf("decode held response: %v", err)
 	}
-}
-
-// TestWaitRunLeavesRegistry checks that a completed ?wait=1 run is not
-// retained (its client already holds the result), while an async run
-// stays pollable by id.
-func TestWaitRunLeavesRegistry(t *testing.T) {
-	exp.ResetResults()
-	srv := New(Config{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	defer srv.Close()
-
-	resp, _ := postJSON(t, ts.URL+"/v1/runs?wait=1", map[string]any{"bench": "mcf", "scale": 1})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
-	}
-	srv.mu.Lock()
-	n := len(srv.runs)
-	srv.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("registry holds %d runs after a wait=1 request, want 0", n)
-	}
-
-	resp, st := postJSON(t, ts.URL+"/v1/runs", map[string]any{"bench": "mcf", "scale": 1})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async status %d, want 202", resp.StatusCode)
-	}
-	<-srv.lookup(st.ID).done
-	poll, err := http.Get(ts.URL + "/v1/runs/" + st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	poll.Body.Close()
-	if poll.StatusCode != http.StatusOK {
-		t.Fatalf("polling a completed async run: status %d, want 200", poll.StatusCode)
+	if rec.Code != http.StatusOK || st.State != "done" {
+		t.Fatalf("admitted run: status %d state %q after Close, want 200 and done", rec.Code, st.State)
 	}
 }
 
@@ -450,60 +420,4 @@ func FuzzServeRequest(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestSSEEvents streams a run's event feed: initial status, at least
-// one telemetry event, and the final done event with the completed
-// status.
-func TestSSEEvents(t *testing.T) {
-	exp.ResetResults()
-	tel := telemetry.New(telemetry.Options{})
-	telemetry.Enable(tel)
-	defer telemetry.Enable(nil)
-
-	srv := New(Config{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	defer srv.Close()
-
-	resp, st := postJSON(t, ts.URL+"/v1/runs", map[string]any{"bench": "twolf", "scale": 1})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("status %d, want 202", resp.StatusCode)
-	}
-
-	stream, err := http.Get(ts.URL + "/v1/runs/" + st.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
-	if ct := stream.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type %q, want text/event-stream", ct)
-	}
-	events := map[string]int{}
-	var final RunStatus
-	sc := bufio.NewScanner(stream.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	current := ""
-	for sc.Scan() {
-		line := sc.Text()
-		if ev, ok := strings.CutPrefix(line, "event: "); ok {
-			current = ev
-			events[ev]++
-		}
-		if data, ok := strings.CutPrefix(line, "data: "); ok && current == "done" {
-			if err := json.Unmarshal([]byte(data), &final); err != nil {
-				t.Fatalf("done payload: %v", err)
-			}
-			break
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if events["status"] != 1 || events["done"] != 1 {
-		t.Fatalf("events %v, want one status and one done", events)
-	}
-	if final.State != "done" || final.Stats == nil {
-		t.Fatalf("final status %+v, want a completed run with stats", final)
-	}
 }

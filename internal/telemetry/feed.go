@@ -30,8 +30,7 @@ type Event struct {
 }
 
 // Feed fans structured progress events out to an optional JSONL writer
-// and any in-process subscribers (the Progress renderer, dmpserve's SSE
-// hub). Emit is safe for concurrent use and nil-safe; subscribers
+// and any in-process subscribers (the Progress renderer). Emit is safe for concurrent use and nil-safe; subscribers
 // run synchronously under the feed lock, so they must be fast and must
 // not call back into the feed.
 type Feed struct {

@@ -16,8 +16,9 @@ import (
 
 // runMCF runs mcf at scale 1 on the enhanced DMP configuration (the
 // configuration that exercises every probe hook: episodes, early exit,
-// MDB, select-uops), optionally with a probe attached.
-func runMCF(t *testing.T, loops bool, p *core.Probe) *core.Stats {
+// MDB, select-uops), optionally with a probe attached. cfmSource ""
+// keeps the annotated CFM points; "dynamic" learns them at run time.
+func runMCF(t *testing.T, loops bool, cfmSource string, p *core.Probe) *core.Stats {
 	t.Helper()
 	prg, err := exp.Annotated("mcf", 1)
 	if loops {
@@ -28,6 +29,7 @@ func runMCF(t *testing.T, loops bool, p *core.Probe) *core.Stats {
 	}
 	cfg := core.EnhancedDMPConfig()
 	cfg.EnableLoopDiverge = loops
+	cfg.CFMSource = cfmSource
 	m, err := core.New(prg, cfg)
 	if err != nil {
 		t.Fatalf("new machine: %v", err)
@@ -48,11 +50,19 @@ func runMCF(t *testing.T, loops bool, p *core.Probe) *core.Stats {
 // aggregation agrees with the machine's: the episode timeline's
 // exit-case tally equals Stats.ExitCases, the interval CSV's summed
 // deltas equal the final Stats, and the Chrome trace is valid non-empty
-// JSON.
+// JSON. The dynamic-CFM case makes the merge-predictor columns nonzero.
 func TestObserversDoNotPerturb(t *testing.T) {
-	for _, loops := range []bool{false, true} {
-		t.Run("loops="+strconv.FormatBool(loops), func(t *testing.T) {
-			base := runMCF(t, loops, nil)
+	for _, tc := range []struct {
+		name      string
+		loops     bool
+		cfmSource string
+	}{
+		{"loops=false", false, ""},
+		{"loops=true", true, ""},
+		{"cfm=dynamic", false, "dynamic"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runMCF(t, tc.loops, tc.cfmSource, nil)
 
 			var ptBuf, evBuf, ivBuf bytes.Buffer
 			trace := telemetry.NewPipetrace(&ptBuf, telemetry.FormatChrome)
@@ -60,7 +70,7 @@ func TestObserversDoNotPerturb(t *testing.T) {
 			samp := telemetry.NewIntervalSampler(&ivBuf, 5000)
 			feed := telemetry.NewFeed(io.Discard)
 			progress := telemetry.ProgressProbe(feed, time.Nanosecond)
-			st := runMCF(t, loops, telemetry.Tee(trace.Probe(), elog.Probe(), samp.Probe(), progress))
+			st := runMCF(t, tc.loops, tc.cfmSource, telemetry.Tee(trace.Probe(), elog.Probe(), samp.Probe(), progress))
 			if err := trace.Close(); err != nil {
 				t.Fatalf("pipetrace close: %v", err)
 			}
@@ -84,6 +94,10 @@ func TestObserversDoNotPerturb(t *testing.T) {
 			}
 			if st.Episodes == 0 {
 				t.Fatal("run produced no episodes; test exercises nothing")
+			}
+			if tc.cfmSource == "dynamic" && (st.MergeTrainings == 0 || st.DynCFMEpisodes == 0) {
+				t.Fatalf("dynamic-CFM run left the merge counters at 0 (trainings %d, learned-CFM episodes %d)",
+					st.MergeTrainings, st.DynCFMEpisodes)
 			}
 			if !strings.Contains(evBuf.String(), `"event":"enter"`) ||
 				!strings.Contains(evBuf.String(), `"event":"resolve"`) {
@@ -151,7 +165,9 @@ func checkIntervalSums(t *testing.T, csv string, st *core.Stats) {
 		"lowconf_ok": st.LowConfCorrect, "lowconf_bad": st.LowConfWrong,
 		"l1i": st.L1IMisses, "l1d": st.L1DMisses, "l2": st.L2Misses,
 		"load_stalls": st.LoadStalls, "oracle_pauses": st.OraclePauses, "oracle_resumes": st.OracleResumes,
-		"uops": st.FetchedUops,
+		"uops": st.FetchedUops, "merge_hits": st.MergeHits, "merge_misses": st.MergeMisses,
+		"merge_evictions": st.MergeEvictions, "merge_trainings": st.MergeTrainings,
+		"merge_mispredicts": st.MergeMispredicts, "dyn_cfm_episodes": st.DynCFMEpisodes,
 	}
 	if len(want) != len(cols)-2 {
 		t.Errorf("column map covers %d columns, CSV has %d delta columns", len(want), len(cols)-2)
@@ -168,7 +184,7 @@ func checkIntervalSums(t *testing.T, csv string, st *core.Stats) {
 func TestPipetraceText(t *testing.T) {
 	var buf bytes.Buffer
 	trace := telemetry.NewPipetrace(&buf, telemetry.FormatText)
-	runMCF(t, false, trace.Probe())
+	runMCF(t, false, "", trace.Probe())
 	if err := trace.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +238,7 @@ func TestProgressProbe(t *testing.T) {
 	var events []telemetry.Event
 	feed := telemetry.NewFeed(nil)
 	feed.Subscribe(func(ev telemetry.Event) { events = append(events, ev) })
-	runMCF(t, false, telemetry.ProgressProbe(feed, time.Hour))
+	runMCF(t, false, "", telemetry.ProgressProbe(feed, time.Hour))
 	if len(events) != 0 {
 		t.Fatalf("hour-period probe emitted %d events: %+v", len(events), events)
 	}
@@ -232,7 +248,7 @@ func TestProgressProbe(t *testing.T) {
 	p := telemetry.NewProgress(&out, false)
 	feed.Subscribe(p.Event)
 	feed.Subscribe(func(ev telemetry.Event) { events = append(events, ev) })
-	runMCF(t, false, telemetry.ProgressProbe(feed, time.Nanosecond))
+	runMCF(t, false, "", telemetry.ProgressProbe(feed, time.Nanosecond))
 	p.Finish()
 	if len(events) == 0 {
 		t.Fatal("nanosecond-period probe emitted no events")
