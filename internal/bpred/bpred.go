@@ -49,6 +49,9 @@ func (g GHR) SetLast(taken bool) GHR {
 type DirPredictor interface {
 	Predict(pc uint64, hist GHR) bool
 	Update(pc uint64, hist GHR, taken bool)
+	// PredictUpdate is Predict followed by Update under the same history,
+	// returning the prediction; functional warming trains through it.
+	PredictUpdate(pc uint64, hist GHR, taken bool) bool
 	// HistoryBits reports how many history bits the predictor consumes
 	// (the core uses it to decide how much GHR to checkpoint; purely
 	// informational).
@@ -62,11 +65,12 @@ type DirPredictor interface {
 // Perceptron is the perceptron predictor: a table of weight vectors
 // indexed by PC; the prediction is the sign of the dot product of the
 // weights with the (bipolar) history, plus a bias weight. Training
-// applies the standard threshold rule at retirement. Weight rows live in
-// a copy-on-write table so sampled simulation snapshots the trained
-// state in O(rows-metadata) (see internal/cow).
+// applies the standard threshold rule at retirement. Weights are 8-bit,
+// the standard hardware budget (1021 rows of 60 weights fit the paper's
+// 64KB). Weight rows live in a copy-on-write table so sampled simulation
+// snapshots the trained state in O(rows-metadata) (see internal/cow).
 type Perceptron struct {
-	weights cow.Table[int16]
+	weights cow.Table[int8]
 	hbits   int
 	theta   int32
 }
@@ -90,54 +94,75 @@ func NewPerceptron(cfg PerceptronConfig) *Perceptron {
 		panic("bpred: bad perceptron config")
 	}
 	// Optimal threshold from Jiménez & Lin: 1.93*h + 14.
-	return &Perceptron{weights: cow.NewTable[int16](cfg.Entries, cfg.HistoryBits+1), // +1 bias weight
+	return &Perceptron{weights: cow.NewTable[int8](cfg.Entries, cfg.HistoryBits+1), // +1 bias weight
 		hbits: cfg.HistoryBits, theta: int32(1.93*float64(cfg.HistoryBits) + 14)}
 }
 
 func (p *Perceptron) index(pc uint64) int { return int(pc % uint64(p.weights.Len())) }
 
-func (p *Perceptron) output(pc uint64, hist GHR) int32 {
-	w := p.weights.RO(p.index(pc))
+// output is the dot product of row i (bias first) with the bipolar
+// history. It is branch-free: history bits are random to the host's
+// branch predictor, so a per-bit branch mispredicts about half the time.
+// s is 0 for a set bit and -1 for a clear one, and (w^s)-s is w or -w.
+//
+//dmp:hotpath
+func (p *Perceptron) output(i int, hist GHR) int32 {
+	w := p.weights.RO(i)
 	y := int32(w[0]) // bias
-	for i := 0; i < p.hbits; i++ {
-		if hist>>uint(i)&1 == 1 {
-			y += int32(w[i+1])
-		} else {
-			y -= int32(w[i+1])
-		}
+	h := uint64(hist)
+	for _, wi := range w[1:] {
+		s := int32(h&1) - 1
+		y += (int32(wi) ^ s) - s
+		h >>= 1
 	}
 	return y
 }
 
 // Predict returns true (taken) if the perceptron output is non-negative.
 func (p *Perceptron) Predict(pc uint64, hist GHR) bool {
-	return p.output(pc, hist) >= 0
+	return p.output(p.index(pc), hist) >= 0
 }
 
 // Update trains with the resolved outcome under the prediction-time
 // history.
+//
+//dmp:hotpath
 func (p *Perceptron) Update(pc uint64, hist GHR, taken bool) {
-	y := p.output(pc, hist)
-	pred := y >= 0
-	mag := y
-	if mag < 0 {
-		mag = -mag
-	}
-	if pred == taken && mag > p.theta {
+	i := p.index(pc)
+	p.train(i, p.output(i, hist), hist, taken)
+}
+
+// PredictUpdate predicts and then trains with the resolved outcome,
+// computing the dot product once. It equals Predict followed by Update
+// under the same history.
+func (p *Perceptron) PredictUpdate(pc uint64, hist GHR, taken bool) bool {
+	i := p.index(pc)
+	y := p.output(i, hist)
+	p.train(i, y, hist, taken)
+	return y >= 0
+}
+
+// train applies the threshold rule to row i given its output y: weights
+// move toward the outcome when the prediction was wrong or |y| is within
+// the threshold.
+//
+//dmp:hotpath
+func (p *Perceptron) train(i int, y int32, hist GHR, taken bool) {
+	if (y >= 0) == taken && (y > p.theta || y < -p.theta) {
 		return
 	}
-	w := p.weights.Mut(p.index(pc))
+	w := p.weights.Mut(i)
 	t := int16(-1)
 	if taken {
 		t = 1
 	}
 	w[0] = satAdd(w[0], t)
-	for i := 0; i < p.hbits; i++ {
-		x := int16(-1)
-		if hist>>uint(i)&1 == 1 {
-			x = 1
-		}
-		w[i+1] = satAdd(w[i+1], x*t)
+	h := uint64(hist)
+	for j := range w[1:] {
+		// x*t, with x = +1 for a set history bit and -1 for a clear one.
+		s := int16(h&1) - 1
+		w[j+1] = satAdd(w[j+1], (t^s)-s)
+		h >>= 1
 	}
 }
 
@@ -147,21 +172,22 @@ func (p *Perceptron) Name() string     { return "perceptron" }
 // Clone snapshots the predictor's trained weights copy-on-write: rows
 // are frozen and shared, and each instance privately re-copies a row on
 // its first subsequent update to it.
-func (p *Perceptron) Clone() *Perceptron {
-	return &Perceptron{weights: p.weights.Clone(), hbits: p.hbits, theta: p.theta}
+func (p *Perceptron) Clone() *Perceptron { return p.CloneInto(nil) }
+
+// CloneInto is Clone reusing dst's storage when dst is a dead clone of
+// the same size (see cow.Table.CloneInto); a nil dst allocates.
+func (p *Perceptron) CloneInto(dst *Perceptron) *Perceptron {
+	if dst == nil {
+		dst = new(Perceptron)
+	}
+	p.weights.CloneInto(&dst.weights)
+	dst.hbits, dst.theta = p.hbits, p.theta
+	return dst
 }
 
-// satAdd adds with saturation at int8 range; 8-bit weights are the
-// standard hardware budget.
-func satAdd(a, b int16) int16 {
-	s := a + b
-	if s > 127 {
-		return 127
-	}
-	if s < -128 {
-		return -128
-	}
-	return s
+// satAdd adds ±1 to an 8-bit weight with saturation at the int8 range.
+func satAdd(a int8, b int16) int8 {
+	return int8(max(-128, min(127, int16(a)+b)))
 }
 
 // --- two-bit counter helpers ---
@@ -221,12 +247,28 @@ func (g *GShare) Update(pc uint64, hist GHR, taken bool) {
 	*c = c.update(taken)
 }
 
+func (g *GShare) PredictUpdate(pc uint64, hist GHR, taken bool) bool {
+	c := g.table.Mut(int(g.index(pc, hist)))
+	pred := c.taken()
+	*c = c.update(taken)
+	return pred
+}
+
 func (g *GShare) HistoryBits() int { return g.hbits }
 func (g *GShare) Name() string     { return "gshare" }
 
 // Clone snapshots the counter table copy-on-write.
-func (g *GShare) Clone() *GShare {
-	return &GShare{table: g.table.Clone(), hbits: g.hbits, mask: g.mask}
+func (g *GShare) Clone() *GShare { return g.CloneInto(nil) }
+
+// CloneInto is Clone reusing a dead clone's storage (see
+// Perceptron.CloneInto).
+func (g *GShare) CloneInto(dst *GShare) *GShare {
+	if dst == nil {
+		dst = new(GShare)
+	}
+	g.table.CloneInto(&dst.table)
+	dst.hbits, dst.mask = g.hbits, g.mask
+	return dst
 }
 
 // --- Bimodal ---
@@ -257,12 +299,28 @@ func (b *Bimodal) Update(pc uint64, _ GHR, taken bool) {
 	*c = c.update(taken)
 }
 
+func (b *Bimodal) PredictUpdate(pc uint64, _ GHR, taken bool) bool {
+	c := b.table.Mut(int(pc & b.mask))
+	pred := c.taken()
+	*c = c.update(taken)
+	return pred
+}
+
 func (b *Bimodal) HistoryBits() int { return 0 }
 func (b *Bimodal) Name() string     { return "bimodal" }
 
 // Clone snapshots the counter table copy-on-write.
-func (b *Bimodal) Clone() *Bimodal {
-	return &Bimodal{table: b.table.Clone(), mask: b.mask}
+func (b *Bimodal) Clone() *Bimodal { return b.CloneInto(nil) }
+
+// CloneInto is Clone reusing a dead clone's storage (see
+// Perceptron.CloneInto).
+func (b *Bimodal) CloneInto(dst *Bimodal) *Bimodal {
+	if dst == nil {
+		dst = new(Bimodal)
+	}
+	b.table.CloneInto(&dst.table)
+	dst.mask = b.mask
+	return dst
 }
 
 // --- Hybrid (gshare + bimodal with a chooser) ---
@@ -311,12 +369,29 @@ func (h *Hybrid) Update(pc uint64, hist GHR, taken bool) {
 	h.b.Update(pc, hist, taken)
 }
 
+func (h *Hybrid) PredictUpdate(pc uint64, hist GHR, taken bool) bool {
+	pred := h.Predict(pc, hist)
+	h.Update(pc, hist, taken)
+	return pred
+}
+
 func (h *Hybrid) HistoryBits() int { return h.g.HistoryBits() }
 func (h *Hybrid) Name() string     { return "hybrid" }
 
 // Clone snapshots both components and the chooser copy-on-write.
-func (h *Hybrid) Clone() *Hybrid {
-	return &Hybrid{g: h.g.Clone(), b: h.b.Clone(), chooser: h.chooser.Clone(), mask: h.mask}
+func (h *Hybrid) Clone() *Hybrid { return h.CloneInto(nil) }
+
+// CloneInto is Clone reusing a dead clone's storage (see
+// Perceptron.CloneInto).
+func (h *Hybrid) CloneInto(dst *Hybrid) *Hybrid {
+	if dst == nil {
+		dst = new(Hybrid)
+	}
+	dst.g = h.g.CloneInto(dst.g)
+	dst.b = h.b.CloneInto(dst.b)
+	h.chooser.CloneInto(&dst.chooser)
+	dst.mask = h.mask
+	return dst
 }
 
 // CloneDir snapshots a direction predictor's trained state
@@ -324,16 +399,24 @@ func (h *Hybrid) Clone() *Hybrid {
 // one predictor continuously during functional fast-forward and clones
 // it per checkpoint. Stateless predictors (StaticTaken, StaticNotTaken)
 // are returned as-is.
-func CloneDir(p DirPredictor) DirPredictor {
+func CloneDir(p DirPredictor) DirPredictor { return CloneDirInto(p, nil) }
+
+// CloneDirInto is CloneDir reusing dst's storage when dst is a dead
+// clone of p's type and size; otherwise it allocates.
+func CloneDirInto(p, dst DirPredictor) DirPredictor {
 	switch v := p.(type) {
 	case *Perceptron:
-		return v.Clone()
+		d, _ := dst.(*Perceptron)
+		return v.CloneInto(d)
 	case *GShare:
-		return v.Clone()
+		d, _ := dst.(*GShare)
+		return v.CloneInto(d)
 	case *Bimodal:
-		return v.Clone()
+		d, _ := dst.(*Bimodal)
+		return v.CloneInto(d)
 	case *Hybrid:
-		return v.Clone()
+		d, _ := dst.(*Hybrid)
+		return v.CloneInto(d)
 	default:
 		return p
 	}
@@ -344,15 +427,17 @@ func CloneDir(p DirPredictor) DirPredictor {
 // StaticTaken always predicts taken.
 type StaticTaken struct{}
 
-func (StaticTaken) Predict(uint64, GHR) bool { return true }
-func (StaticTaken) Update(uint64, GHR, bool) {}
-func (StaticTaken) HistoryBits() int         { return 0 }
-func (StaticTaken) Name() string             { return "static-taken" }
+func (StaticTaken) Predict(uint64, GHR) bool             { return true }
+func (StaticTaken) Update(uint64, GHR, bool)             {}
+func (StaticTaken) PredictUpdate(uint64, GHR, bool) bool { return true }
+func (StaticTaken) HistoryBits() int                     { return 0 }
+func (StaticTaken) Name() string                         { return "static-taken" }
 
 // StaticNotTaken always predicts not-taken.
 type StaticNotTaken struct{}
 
-func (StaticNotTaken) Predict(uint64, GHR) bool { return false }
-func (StaticNotTaken) Update(uint64, GHR, bool) {}
-func (StaticNotTaken) HistoryBits() int         { return 0 }
-func (StaticNotTaken) Name() string             { return "static-nottaken" }
+func (StaticNotTaken) Predict(uint64, GHR) bool             { return false }
+func (StaticNotTaken) Update(uint64, GHR, bool)             {}
+func (StaticNotTaken) PredictUpdate(uint64, GHR, bool) bool { return false }
+func (StaticNotTaken) HistoryBits() int                     { return 0 }
+func (StaticNotTaken) Name() string                         { return "static-nottaken" }

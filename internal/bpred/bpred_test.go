@@ -1,6 +1,7 @@
 package bpred
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -218,5 +219,86 @@ func TestHybridChooserPrefersBetterComponent(t *testing.T) {
 	}
 	if correct < 95 {
 		t.Errorf("hybrid alternating correct = %d/100", correct)
+	}
+}
+
+// referenceOutput is the scalar perceptron dot product: add the weight
+// for a taken history bit, subtract it for a not-taken one.
+func referenceOutput(w []int8, hist GHR) int32 {
+	y := int32(w[0])
+	for i := 0; i < len(w)-1; i++ {
+		if hist>>uint(i)&1 == 1 {
+			y += int32(w[i+1])
+		} else {
+			y -= int32(w[i+1])
+		}
+	}
+	return y
+}
+
+// TestPerceptronOutputMatchesReference pins the branch-free dot product
+// to the scalar loop it replaced: random rows, rows saturated at +127,
+// at -128 and alternating between them, under every single history bit,
+// all bits, no bits and random histories.
+func TestPerceptronOutputMatchesReference(t *testing.T) {
+	cfg := DefaultPerceptronConfig()
+	p := NewPerceptron(cfg)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < p.weights.Len(); i++ {
+		w := p.weights.Mut(i)
+		for j := range w {
+			switch i % 4 {
+			case 0:
+				w[j] = 127
+			case 1:
+				w[j] = -128
+			case 2:
+				w[j] = int8(127 - 255*(j%2))
+			default:
+				w[j] = int8(rng.Intn(256) - 128)
+			}
+		}
+	}
+	hists := []GHR{0, 1<<cfg.HistoryBits - 1, ^GHR(0)}
+	for b := 0; b < cfg.HistoryBits; b++ {
+		hists = append(hists, 1<<b, (1<<cfg.HistoryBits-1)&^(1<<b))
+	}
+	for k := 0; k < 200; k++ {
+		hists = append(hists, GHR(rng.Uint64()))
+	}
+	for i := 0; i < p.weights.Len(); i++ {
+		for _, h := range hists {
+			if got, want := p.output(i, h), referenceOutput(p.weights.RO(i), h); got != want {
+				t.Fatalf("row %d hist %#x: output %d, want %d", i, uint64(h), got, want)
+			}
+		}
+	}
+}
+
+// TestPerceptronPredictUpdateMatchesPair pins that the single-pass
+// PredictUpdate warming uses predicts and trains exactly as Predict
+// followed by Update, including at saturation.
+func TestPerceptronPredictUpdateMatchesPair(t *testing.T) {
+	a := NewPerceptron(PerceptronConfig{Entries: 31, HistoryBits: 59})
+	b := NewPerceptron(PerceptronConfig{Entries: 31, HistoryBits: 59})
+	rng := rand.New(rand.NewSource(2))
+	var hist GHR
+	for n := 0; n < 50000; n++ {
+		pc := uint64(rng.Intn(64))
+		taken := rng.Intn(4) != 0 // biased, so rows saturate
+		want := a.Predict(pc, hist)
+		a.Update(pc, hist, taken)
+		if got := b.PredictUpdate(pc, hist, taken); got != want {
+			t.Fatalf("step %d: PredictUpdate predicted %v, Predict %v", n, got, want)
+		}
+		hist = hist.Push(taken)
+	}
+	for i := 0; i < a.weights.Len(); i++ {
+		wa, wb := a.weights.RO(i), b.weights.RO(i)
+		for j := range wa {
+			if wa[j] != wb[j] {
+				t.Fatalf("row %d weight %d: %d after PredictUpdate, %d after Predict+Update", i, j, wb[j], wa[j])
+			}
+		}
 	}
 }

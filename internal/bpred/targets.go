@@ -157,8 +157,10 @@ type RASState struct {
 // ITC is the indirect target cache: a direct-mapped table of last-seen
 // targets for indirect jumps/calls, indexed by PC xor history (paper:
 // 64K entries). The table is chunked copy-on-write: at 64K × 8B it is
-// the largest predictor table, and most workloads touch a handful of
-// chunks, so COW snapshots pay almost nothing for it.
+// the largest predictor table. The index mixes history bits into the
+// chunk number, so even a few indirect branches scatter their updates
+// over all 256 chunks; a snapshot shares them all, and each side copies
+// a chunk (2KB) on its first write to it.
 type ITC struct {
 	table cow.Flat[uint64]
 	mask  uint64
@@ -187,18 +189,44 @@ func (t *ITC) Update(pc uint64, hist GHR, target uint64) {
 }
 
 // Clone snapshots the BTB's tag and target state copy-on-write.
-func (b *BTB) Clone() *BTB {
-	n := *b
-	n.sets = b.sets.Clone()
-	return &n
+func (b *BTB) Clone() *BTB { return b.CloneInto(nil) }
+
+// CloneInto is Clone reusing dst's storage when dst is a dead clone of
+// the same geometry (see cow.Table.CloneInto); a nil dst allocates.
+func (b *BTB) CloneInto(dst *BTB) *BTB {
+	if dst == nil {
+		dst = new(BTB)
+	}
+	sets := dst.sets
+	*dst = *b
+	dst.sets = sets
+	b.sets.CloneInto(&dst.sets)
+	return dst
 }
 
 // Clone deep-copies the return address stack.
-func (r *RAS) Clone() *RAS {
-	return &RAS{stack: append([]uint64(nil), r.stack...), top: r.top, count: r.count}
+func (r *RAS) Clone() *RAS { return r.CloneInto(nil) }
+
+// CloneInto deep-copies the stack into dst (nil allocates), reusing its
+// array.
+func (r *RAS) CloneInto(dst *RAS) *RAS {
+	if dst == nil {
+		dst = new(RAS)
+	}
+	dst.stack = append(dst.stack[:0], r.stack...)
+	dst.top, dst.count = r.top, r.count
+	return dst
 }
 
 // Clone snapshots the indirect target cache copy-on-write.
-func (t *ITC) Clone() *ITC {
-	return &ITC{table: t.table.Clone(), mask: t.mask}
+func (t *ITC) Clone() *ITC { return t.CloneInto(nil) }
+
+// CloneInto is Clone reusing a dead clone's storage (see BTB.CloneInto).
+func (t *ITC) CloneInto(dst *ITC) *ITC {
+	if dst == nil {
+		dst = new(ITC)
+	}
+	t.table.CloneInto(&dst.table)
+	dst.mask = t.mask
+	return dst
 }

@@ -34,8 +34,6 @@ type Cache struct {
 	lineSh  uint
 	setSh   uint
 	clock   uint64
-
-	Hits, Misses uint64
 }
 
 type line struct {
@@ -70,6 +68,8 @@ func New(cfg Config) *Cache {
 }
 
 // Access looks up addr, fills on miss, and reports whether it hit.
+//
+//dmp:hotpath
 func (c *Cache) Access(addr uint64) bool {
 	lineAddr := addr >> c.lineSh
 	// Every access writes the set (LRU stamp on hit, fill on miss), so
@@ -80,11 +80,9 @@ func (c *Cache) Access(addr uint64) bool {
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i].lru = c.clock
-			c.Hits++
 			return true
 		}
 	}
-	c.Misses++
 	victim := 0
 	for i := range set {
 		if !set[i].valid {
@@ -103,17 +101,26 @@ func (c *Cache) Access(addr uint64) bool {
 func (c *Cache) Latency() int { return c.cfg.Latency }
 
 // Clone snapshots the cache copy-on-write: tag state is frozen and
-// shared (cow.Table.Clone — O(sets) header copies, no line copies), LRU
-// clock and counters are copied by value. Sampled simulation warms one
+// shared (cow.Table.Clone — O(sets) header copies, no line copies), the
+// LRU clock is copied by value. Sampled simulation warms one
 // hierarchy continuously during functional fast-forward and clones it
 // per checkpoint so every detailed interval starts with the
 // long-reuse-distance cache state an exact run would have; both the
 // warmer and the interval machine keep training their instance, each
 // privately re-copying only the sets it touches.
-func (c *Cache) Clone() *Cache {
-	n := *c
-	n.sets = c.sets.Clone()
-	return &n
+func (c *Cache) Clone() *Cache { return c.CloneInto(nil) }
+
+// CloneInto is Clone reusing dst's storage when dst is a dead clone of
+// the same geometry (see cow.Table.CloneInto); a nil dst allocates.
+func (c *Cache) CloneInto(dst *Cache) *Cache {
+	if dst == nil {
+		dst = new(Cache)
+	}
+	sets := dst.sets
+	*dst = *c
+	dst.sets = sets
+	c.sets.CloneInto(&dst.sets)
+	return dst
 }
 
 // Hierarchy bundles L1I, L1D, L2 and memory into the lookup functions the
@@ -121,6 +128,9 @@ func (c *Cache) Clone() *Cache {
 type Hierarchy struct {
 	L1I, L1D, L2 *Cache
 	MemLatency   int
+	// lastI is 1 + the L1I line number of the latest instruction fetch
+	// (0 before the first), for WarmFetch.
+	lastI uint64
 }
 
 // HierarchyConfig parameterises NewHierarchy.
@@ -149,14 +159,26 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	}
 }
 
-// Clone deep-copies the whole hierarchy (see Cache.Clone).
-func (h *Hierarchy) Clone() *Hierarchy {
-	return &Hierarchy{L1I: h.L1I.Clone(), L1D: h.L1D.Clone(), L2: h.L2.Clone(), MemLatency: h.MemLatency}
+// Clone snapshots the whole hierarchy (see Cache.Clone).
+func (h *Hierarchy) Clone() *Hierarchy { return h.CloneInto(nil) }
+
+// CloneInto is Clone reusing a dead clone's storage (see
+// Cache.CloneInto).
+func (h *Hierarchy) CloneInto(dst *Hierarchy) *Hierarchy {
+	if dst == nil {
+		dst = new(Hierarchy)
+	}
+	dst.L1I = h.L1I.CloneInto(dst.L1I)
+	dst.L1D = h.L1D.CloneInto(dst.L1D)
+	dst.L2 = h.L2.CloneInto(dst.L2)
+	dst.MemLatency, dst.lastI = h.MemLatency, h.lastI
+	return dst
 }
 
 // InstLatency returns the cycles to fetch the instruction word at byte
 // address addr.
 func (h *Hierarchy) InstLatency(addr uint64) int {
+	h.lastI = addr>>h.L1I.lineSh + 1
 	if h.L1I.Access(addr) {
 		return h.L1I.Latency()
 	}
@@ -164,6 +186,20 @@ func (h *Hierarchy) InstLatency(addr uint64) int {
 		return h.L1I.Latency() + h.L2.Latency()
 	}
 	return h.L1I.Latency() + h.L2.Latency() + h.MemLatency
+}
+
+// WarmFetch is InstLatency for functional warming, which needs the tag
+// and replacement state but not the latency. A fetch from the line the
+// previous instruction fetch touched is skipped: that line is present
+// and most recently used in L1I, so a repeat hit would only restamp it
+// with a newer clock value, and LRU compares stamps only by order. Only
+// the clock's absolute value differs from fetching every instruction.
+//
+//dmp:hotpath
+func (h *Hierarchy) WarmFetch(addr uint64) {
+	if addr>>h.L1I.lineSh+1 != h.lastI {
+		h.InstLatency(addr)
+	}
 }
 
 // DataLatency returns the cycles for a data access at byte address addr.

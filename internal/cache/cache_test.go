@@ -4,20 +4,28 @@ import "testing"
 
 func TestColdMissThenHit(t *testing.T) {
 	c := New(Config{SizeBytes: 1024, Assoc: 2, LineBytes: 64, Latency: 2})
-	if c.Access(0x100) {
+	hits := 0
+	access := func(addr uint64) bool {
+		hit := c.Access(addr)
+		if hit {
+			hits++
+		}
+		return hit
+	}
+	if access(0x100) {
 		t.Error("cold access hit")
 	}
-	if !c.Access(0x100) {
+	if !access(0x100) {
 		t.Error("second access missed")
 	}
-	if !c.Access(0x13F) {
+	if !access(0x13F) {
 		t.Error("same-line access missed")
 	}
-	if c.Access(0x140) {
+	if access(0x140) {
 		t.Error("next-line access hit cold")
 	}
-	if c.Hits != 2 || c.Misses != 2 {
-		t.Errorf("hits=%d misses=%d", c.Hits, c.Misses)
+	if hits != 2 {
+		t.Errorf("hits=%d misses=%d", hits, 4-hits)
 	}
 }
 
@@ -114,15 +122,20 @@ func TestLargeStrideThrashing(t *testing.T) {
 	// Strided accesses covering more lines than the cache holds must keep
 	// missing on a second pass.
 	c := New(Config{SizeBytes: 1024, Assoc: 2, LineBytes: 64, Latency: 1})
+	hits, misses := 0, 0
 	for pass := 0; pass < 2; pass++ {
 		for i := uint64(0); i < 64; i++ {
-			c.Access(i * 64)
+			if c.Access(i * 64) {
+				hits++
+			} else {
+				misses++
+			}
 		}
 	}
-	if c.Hits != 0 {
-		t.Errorf("thrash pattern produced %d hits", c.Hits)
+	if hits != 0 {
+		t.Errorf("thrash pattern produced %d hits", hits)
 	}
-	if c.Misses != 128 {
-		t.Errorf("misses = %d, want 128", c.Misses)
+	if misses != 128 {
+		t.Errorf("misses = %d, want 128", misses)
 	}
 }

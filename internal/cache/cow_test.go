@@ -1,6 +1,12 @@
 package cache
 
-import "testing"
+import (
+	"cmp"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+)
 
 // COW isolation pins (mirrors core's TestSnapshotIsolatesWarmState at
 // the component level): after Clone, training either copy must not leak
@@ -96,4 +102,74 @@ func BenchmarkHierarchyClone(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sink = h.Clone()
 	}
+}
+
+// lruOrder lists each set's valid tags from least to most recently used:
+// the whole replacement state, with the LRU clock's absolute values
+// factored out.
+func lruOrder(c *Cache) [][]uint64 {
+	out := make([][]uint64, c.sets.Len())
+	for i := range out {
+		set := append([]line(nil), c.sets.RO(i)...)
+		slices.SortFunc(set, func(a, b line) int { return cmp.Compare(a.lru, b.lru) })
+		for _, l := range set {
+			if l.valid {
+				out[i] = append(out[i], l.tag)
+			}
+		}
+	}
+	return out
+}
+
+// TestWarmFetchMatchesEveryFetch pins the functional-warming fetch
+// filter: skipping a fetch from the line the previous fetch touched
+// leaves L1I (and L2) with the same lines in the same LRU order as
+// fetching every instruction. The stream has warming's shape — straight
+// runs of instruction words, taken jumps, data accesses in between, and
+// wrong-path excursions that leave and re-enter a line — and both
+// hierarchies are cloned midway, the clone continuing the stream.
+func TestWarmFetchMatchesEveryFetch(t *testing.T) {
+	small := HierarchyConfig{
+		L1I:        Config{SizeBytes: 2048, Assoc: 2, LineBytes: 64, Latency: 2},
+		L1D:        Config{SizeBytes: 2048, Assoc: 4, LineBytes: 64, Latency: 2},
+		L2:         Config{SizeBytes: 16384, Assoc: 8, LineBytes: 64, Latency: 10},
+		MemLatency: 300,
+	}
+	filtered, every := NewHierarchy(small), NewHierarchy(small)
+	rng := rand.New(rand.NewSource(3))
+	pc, skipped := uint64(0), 0
+	for n := 0; n < 200000; n++ {
+		if n == 100000 {
+			filtered, every = filtered.Clone(), every.Clone()
+		}
+		addr := pc * 8
+		if addr>>6+1 == filtered.lastI {
+			skipped++
+		}
+		filtered.WarmFetch(addr)
+		every.InstLatency(addr)
+		switch r := rng.Intn(100); {
+		case r < 20:
+			d := uint64(rng.Intn(1 << 16))
+			filtered.DataLatency(d)
+			every.DataLatency(d)
+			pc++
+		case r < 28:
+			pc = uint64(rng.Intn(4096)) // taken branch or excursion start
+		case r < 32:
+			pc-- // a loop back-edge to the same line
+		default:
+			pc++
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("the stream never repeated a line; the filter was not exercised")
+	}
+	for name, pair := range map[string][2]*Cache{"L1I": {filtered.L1I, every.L1I}, "L2": {filtered.L2, every.L2}} {
+		got, want := lruOrder(pair[0]), lruOrder(pair[1])
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s replacement state differs with the fetch filter", name)
+		}
+	}
+	t.Logf("%d of 200000 fetches skipped", skipped)
 }

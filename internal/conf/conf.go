@@ -132,19 +132,33 @@ func (NeverLow) Update(uint64, bpred.GHR, bool)       {}
 func (NeverLow) Name() string                         { return "never-low" }
 
 // Clone snapshots the estimator's counter table copy-on-write.
-func (j *JRS) Clone() *JRS {
-	n := *j
-	n.table = j.table.Clone()
-	return &n
+func (j *JRS) Clone() *JRS { return j.CloneInto(nil) }
+
+// CloneInto is Clone reusing dst's storage when dst is a dead clone of
+// the same size (see cow.Table.CloneInto); a nil dst allocates.
+func (j *JRS) CloneInto(dst *JRS) *JRS {
+	if dst == nil {
+		dst = new(JRS)
+	}
+	table := dst.table
+	*dst = *j
+	dst.table = table
+	j.table.CloneInto(&dst.table)
+	return dst
 }
 
 // CloneEstimator snapshots an estimator's trained state. Sampled
 // simulation warms one estimator continuously during functional
 // fast-forward and clones it per checkpoint. Stateless estimators
 // (Perfect, AlwaysLow, NeverLow) are returned as-is.
-func CloneEstimator(e Estimator) Estimator {
+func CloneEstimator(e Estimator) Estimator { return CloneEstimatorInto(e, nil) }
+
+// CloneEstimatorInto is CloneEstimator reusing dst's storage when dst is
+// a dead clone of e's type and size.
+func CloneEstimatorInto(e, dst Estimator) Estimator {
 	if j, ok := e.(*JRS); ok {
-		return j.Clone()
+		d, _ := dst.(*JRS)
+		return j.CloneInto(d)
 	}
 	return e
 }

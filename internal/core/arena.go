@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"dmp/internal/emu"
+)
 
 // uopArena allocates the machine's uops from chunked slabs instead of one
 // heap object per fetched uop. Slabs come from a process-wide sync.Pool
@@ -51,6 +55,62 @@ const uopChunkSize = 64
 // between Get and release).
 var chunkPool = sync.Pool{New: func() any { return new([uopChunkSize]uop) }}
 
+// machineStore is the growable side storage a machine builds up while
+// it runs: the snapshot, checkpoint and waiter-list pools, the uop free
+// list's array, the ROB and fetch-queue backing arrays, and the fetch
+// oracle's undo log. A machine takes one from storePool when it is built
+// and hands it back at Finish, so the next machine starts with grown
+// storage instead of regrowing it from nil — a sampled run builds one
+// short machine (about a thousand retired instructions) per interval.
+type machineStore struct {
+	snaps          []*fetchSnapshot
+	ckpts          []*ratCheckpoint
+	waiters        [][]waiter
+	free           []*uop
+	feqBuf, robBuf []*uop
+	hist           emu.History
+}
+
+// storePool shares machineStores across machines, like chunkPool.
+var storePool = sync.Pool{New: func() any { return new(machineStore) }}
+
+// takeStore installs a pooled store's storage in a new machine.
+func (m *Machine) takeStore() {
+	st := storePool.Get().(*machineStore)
+	m.store = st
+	m.snapPool, m.ckptPool, m.waiterPool = st.snaps, st.ckpts, st.waiters
+	m.arena.free = st.free
+	m.feqBuf, m.robBuf = st.feqBuf, st.robBuf
+}
+
+// releaseStore hands the machine's storage back to storePool once no
+// uop will be dereferenced again (Finish). In-flight uops' snapshots and
+// checkpoints are salvaged first, as if they had retired; every uop
+// pointer the pooled storage still holds (RAT checkpoint entries, the
+// free list, the queue arrays) is cleared, so a pooled store pins none
+// of the slabs chunkPool may drop.
+func (m *Machine) releaseStore() {
+	for _, u := range m.rob {
+		m.salvageRetired(u)
+	}
+	for _, u := range m.feq {
+		m.salvageRetired(u)
+	}
+	for _, c := range m.ckptPool {
+		*c = ratCheckpoint{}
+	}
+	st := m.store
+	st.snaps, st.ckpts, st.waiters = m.snapPool, m.ckptPool, m.waiterPool
+	clear(m.arena.free)
+	st.free = m.arena.free[:0]
+	clear(m.feqBuf)
+	clear(m.robBuf)
+	st.feqBuf, st.robBuf = m.feqBuf, m.robBuf
+	m.store, m.snapPool, m.ckptPool, m.waiterPool = nil, nil, nil, nil
+	m.arena.free, m.feq, m.rob, m.feqBuf, m.robBuf = nil, nil, nil, nil, nil
+	storePool.Put(st)
+}
+
 // alloc returns a zeroed uop.
 func (a *uopArena) alloc() *uop {
 	a.allocated++
@@ -80,7 +140,6 @@ func (a *uopArena) release() {
 		return
 	}
 	a.released = true
-	a.free = nil
 	for i, c := range a.chunks {
 		chunkPool.Put(c)
 		a.chunks[i] = nil

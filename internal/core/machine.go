@@ -37,6 +37,7 @@ type Machine struct {
 
 	// Pipeline.
 	arena           uopArena
+	store           *machineStore    // storage lent by storePool until Finish
 	snapPool        []*fetchSnapshot // salvaged from squashed control uops
 	ckptPool        []*ratCheckpoint // salvaged from squashed branches
 	waiterPool      [][]waiter       // emptied waiter lists of completed uops
@@ -172,7 +173,7 @@ func New(p *prog.Program, cfg Config) (*Machine, error) {
 	}
 	m.commitRegs[isa.SP] = p.StackBase
 
-	m.oracle = newFetchOracle(p)
+	m.oracle = newFetchOracle(emu.New(p), &m.store.hist)
 	if cfg.CheckRetirement {
 		m.checker = emu.New(p)
 	}
@@ -198,6 +199,7 @@ func newWith(p *prog.Program, cfg Config, ws *WarmState) *Machine {
 	m.fetchGHR = ws.ghr
 	m.preds = newPredFile()
 	m.episodes = map[int]*episode{}
+	m.takeStore()
 	return m
 }
 
@@ -282,6 +284,7 @@ func (m *Machine) Finish() (*Stats, error) {
 		if m.probe != nil {
 			m.probeDone()
 		}
+		m.releaseStore()
 		m.arena.release()
 	}
 	if m.runErr != nil {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"dmp/internal/emu"
-	"dmp/internal/prog"
-)
+import "dmp/internal/emu"
 
 // fetchOracle is a functional emulator that follows the fetch stream
 // along correct-path instructions only. While fetch is on the correct
@@ -33,18 +30,14 @@ type fetchOracle struct {
 	onPath bool
 }
 
-func newFetchOracle(p *prog.Program) *fetchOracle {
-	return newFetchOracleFrom(emu.New(p))
-}
-
-// newFetchOracleFrom wraps an already-positioned emulator (the sampling
-// driver seeds it from a mid-program checkpoint). The emulator's Count
-// must equal the machine's retired-instruction count at that point —
-// checkpoint transplant zeroes both — because retirement resync compares
-// the two directly.
-func newFetchOracleFrom(em *emu.Emulator) *fetchOracle {
+// newFetchOracle wraps an already-positioned emulator (the program entry,
+// or a mid-program checkpoint the sampling driver seeds), recording its
+// undo log into h. The emulator's Count must equal the machine's
+// retired-instruction count at that point — checkpoint transplant zeroes
+// both — because retirement resync compares the two directly.
+func newFetchOracle(em *emu.Emulator, h *emu.History) *fetchOracle {
 	o := &fetchOracle{em: em, onPath: true}
-	o.em.EnableHistory()
+	o.em.EnableHistoryIn(h)
 	return o
 }
 

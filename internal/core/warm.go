@@ -104,14 +104,22 @@ func newWarmState(cfg Config) (WarmState, error) {
 // subsequently written, on whichever side writes it — so both the warmer
 // and the detailed machine the clone seeds can keep training. The RAS is
 // copied eagerly (64 words).
-func (ws *WarmState) clone() *WarmState {
-	c := &WarmState{
-		hier:        ws.hier.Clone(),
-		pred:        bpred.CloneDir(ws.pred),
-		confEst:     conf.CloneEstimator(ws.confEst),
-		btb:         ws.btb.Clone(),
-		ras:         ws.ras.Clone(),
-		itc:         ws.itc.Clone(),
+func (ws *WarmState) clone() *WarmState { return ws.cloneInto(nil) }
+
+// cloneInto is clone reusing the storage of dst — a snapshot whose
+// machine has finished and that nothing reads any more — instead of
+// allocating fresh component headers (nil allocates).
+func (ws *WarmState) cloneInto(dst *WarmState) *WarmState {
+	if dst == nil {
+		dst = new(WarmState)
+	}
+	*dst = WarmState{
+		hier:        ws.hier.CloneInto(dst.hier),
+		pred:        bpred.CloneDirInto(ws.pred, dst.pred),
+		confEst:     conf.CloneEstimatorInto(ws.confEst, dst.confEst),
+		btb:         ws.btb.CloneInto(dst.btb),
+		ras:         ws.ras.CloneInto(dst.ras),
+		itc:         ws.itc.CloneInto(dst.itc),
 		ghr:         ws.ghr,
 		perfectConf: ws.perfectConf,
 		cachesOnly:  ws.cachesOnly,
@@ -124,9 +132,9 @@ func (ws *WarmState) clone() *WarmState {
 		epLeft:      ws.epLeft,
 	}
 	if ws.merge != nil {
-		c.merge = ws.merge.Clone()
+		dst.merge = ws.merge.Clone()
 	}
-	return c
+	return dst
 }
 
 // wrongPathDepth bounds the runahead excursion taken at each mispredicted
@@ -141,7 +149,7 @@ func (ws *WarmState) clone() *WarmState {
 const wrongPathDepth = 256
 
 // observe trains every component with one architecturally executed
-// instruction, mirroring retireOne's update calls on the retired
+// instruction st, mirroring retireOne's update calls on the retired
 // predicate-TRUE stream (predict-then-update, so the confidence
 // estimator and merge gating see the same correct/incorrect signal).
 // Mispredicted branches additionally replay bounded wrong-path runahead
@@ -150,8 +158,11 @@ const wrongPathDepth = 256
 // approximation versus a detailed run remains: SelectiveBPUpdate cannot
 // suppress updates for would-be-predicated branches, since no episodes
 // exist without a pipeline.
-func (ws *WarmState) observe(em *emu.Emulator, pc uint64, st emu.Step) {
-	ws.hier.InstLatency(pc * 8)
+//
+//dmp:hotpath
+func (ws *WarmState) observe(em *emu.Emulator, st *emu.Step) {
+	pc := st.PC
+	ws.hier.WarmFetch(pc * 8)
 	if ws.cachesOnly {
 		// Reduced warming (WarmMode "caches"): only the hierarchy sees the
 		// stream. No predictor training means no mispredict signal, so
@@ -179,9 +190,9 @@ func (ws *WarmState) observe(em *emu.Emulator, pc uint64, st emu.Step) {
 			ws.epCFMs = 0
 		}
 	}
-	in := st.Inst
+	in := &st.Inst
 	if in.Op == isa.BR {
-		pred := ws.pred.Predict(pc, ws.ghr)
+		pred := ws.pred.PredictUpdate(pc, ws.ghr, st.Taken)
 		low := ws.confEst.LowConfidence(pc, ws.ghr)
 		if ws.perfectConf {
 			low = pred != st.Taken
@@ -189,13 +200,12 @@ func (ws *WarmState) observe(em *emu.Emulator, pc uint64, st emu.Step) {
 		if ws.merge != nil {
 			ws.merge.Observe(pc, in.Op, st.Taken, low || pred != st.Taken)
 		}
-		ws.pred.Update(pc, ws.ghr, st.Taken)
 		ws.confEst.Update(pc, ws.ghr, pred == st.Taken)
 		if st.Taken {
 			ws.btb.Insert(pc, st.NextPC)
 		}
 		ws.ghr = ws.ghr.Push(st.Taken)
-		if !ws.maybeEpisode(em, pc, st, low) && pred != st.Taken {
+		if !ws.maybeEpisode(em, st, low) && pred != st.Taken {
 			wrongPC := pc + 1
 			if pred {
 				wrongPC = in.Target
@@ -232,14 +242,16 @@ func (ws *WarmState) observe(em *emu.Emulator, pc uint64, st emu.Step) {
 // early-exit threshold and cut at any CFM point. Reports whether an
 // episode region began at this branch (suppressing mispredict runahead —
 // a predicated branch never flushes).
-func (ws *WarmState) maybeEpisode(em *emu.Emulator, pc uint64, st emu.Step, low bool) bool {
+//
+//dmp:hotpath
+func (ws *WarmState) maybeEpisode(em *emu.Emulator, st *emu.Step, low bool) bool {
 	if ws.mode != ModeDMP && ws.mode != ModeDHP {
 		return false
 	}
 	if !low || ws.epCFMs > 0 {
 		return false
 	}
-	d := ws.divergeFor(em.Prog, pc)
+	d := ws.divergeFor(em.Prog, st.PC)
 	if d == nil || len(d.CFMs) == 0 {
 		return false
 	}
@@ -256,19 +268,20 @@ func (ws *WarmState) maybeEpisode(em *emu.Emulator, pc uint64, st emu.Step, low 
 	if thr <= 0 || thr > wrongPathDepth {
 		thr = wrongPathDepth
 	}
-	altPC := pc + 1
+	altPC := st.PC + 1
 	if !st.Taken {
 		altPC = st.Inst.Target
 	}
 	ws.epCFMs = copy(ws.epStore[:], d.CFMs)
 	ws.epLeft = wrongPathDepth
-	em.Excursion(altPC, thr, func(s emu.Step) bool {
-		ws.hier.InstLatency(s.PC * 8)
-		if s.IsLoad {
-			ws.hier.DataLatency(s.Addr)
+	//dmp:allow hotalloc -- Excursion only calls fn, so the closure stays on the stack
+	em.Excursion(altPC, thr, func(pc, next uint64, load bool, addr uint64) bool {
+		ws.hier.WarmFetch(pc * 8)
+		if load {
+			ws.hier.DataLatency(addr)
 		}
 		for _, c := range ws.epStore[:ws.epCFMs] {
-			if s.NextPC == c {
+			if next == c {
 				return false
 			}
 		}
@@ -310,11 +323,14 @@ func (ws *WarmState) divergeFor(p *prog.Program, pc uint64) *prog.Diverge {
 // the D-cache, exactly the accesses a detailed machine makes before the
 // flush (loads issue at execute; stores only touch the cache at retire,
 // which a wrong path never reaches).
+//
+//dmp:hotpath
 func (ws *WarmState) runahead(em *emu.Emulator, pc uint64) {
-	em.Excursion(pc, wrongPathDepth, func(s emu.Step) bool {
-		ws.hier.InstLatency(s.PC * 8)
-		if s.IsLoad {
-			ws.hier.DataLatency(s.Addr)
+	//dmp:allow hotalloc -- Excursion only calls fn, so the closure stays on the stack
+	em.Excursion(pc, wrongPathDepth, func(pc, _ uint64, load bool, addr uint64) bool {
+		ws.hier.WarmFetch(pc * 8)
+		if load {
+			ws.hier.DataLatency(addr)
 		}
 		return true
 	})
@@ -328,6 +344,7 @@ func (ws *WarmState) runahead(em *emu.Emulator, pc uint64) {
 type Warmer struct {
 	em *emu.Emulator
 	ws WarmState
+	st emu.Step // the record WarmTo steps into, reused per instruction
 }
 
 // NewWarmer builds a warmer for p with cfg's predictor complement.
@@ -341,14 +358,15 @@ func NewWarmer(p *prog.Program, cfg Config) (*Warmer, error) {
 
 // WarmTo advances to the absolute instruction count target, training the
 // warm state on every instruction along the way.
+//
+//dmp:hotpath
 func (w *Warmer) WarmTo(target uint64) error {
 	for w.em.Count < target && !w.em.Halted {
 		pc := w.em.PC
-		st, err := w.em.Step()
-		if err != nil {
+		if err := w.em.StepInto(&w.st); err != nil {
 			return fmt.Errorf("core: functional warm at pc %d: %w", pc, err)
 		}
-		w.ws.observe(w.em, pc, st)
+		w.ws.observe(w.em, &w.st)
 	}
 	return nil
 }
@@ -383,3 +401,11 @@ func (w *Warmer) Checkpoint() emu.Checkpoint { return w.em.Checkpoint() }
 // copy-on-write clone: O(metadata) cost (see WarmState.clone), with the
 // per-component data copied lazily as either side keeps training.
 func (w *Warmer) Snapshot() *WarmState { return w.ws.clone() }
+
+// SnapshotInto is Snapshot reusing the storage of dead, an earlier
+// snapshot whose machine has finished and that nothing reads any more:
+// its header arrays and last private blocks carry over, so a sampled
+// run's checkpoints stop allocating fresh headers. A nil dead allocates,
+// as Snapshot does. Handing dead over from another goroutine must
+// synchronize (a channel send).
+func (w *Warmer) SnapshotInto(dead *WarmState) *WarmState { return w.ws.cloneInto(dead) }

@@ -109,3 +109,33 @@ func TestSnapshotIsolationUnderInterleavedTraining(t *testing.T) {
 		t.Errorf("snapshot replayed after further training differs from immediate replay:\n%+v\n%+v", got, ref)
 	}
 }
+
+// TestWarmToAllocs pins that functional warming allocates nothing in
+// steady state: WarmTo steps into one reused record, wrong-path
+// excursions report scalars and reuse one store overlay, and trained
+// tables that no snapshot shares are written in place. Each run warms
+// 1000 more instructions of a program with a mispredicting hammock, a
+// store and a load per iteration.
+func TestWarmToAllocs(t *testing.T) {
+	p := profiled(t, mustProg(randomHammockProg(20000)))
+	w, err := NewWarmer(p, EnhancedDMPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := uint64(20000)
+	if err := w.WarmTo(target); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		target += 1000
+		if err := w.WarmTo(target); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if w.Halted() || w.Count() != target {
+		t.Fatalf("warmer stopped at %d (halted %v), want %d", w.Count(), w.Halted(), target)
+	}
+	if allocs != 0 {
+		t.Errorf("WarmTo allocates %v objects per 1000 instructions, want 0", allocs)
+	}
+}

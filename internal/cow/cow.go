@@ -22,11 +22,12 @@
 // read, so concurrent use of the parent and the clone is race-free.
 package cow
 
-// blockGroups is how many groups one private arena block holds: big
-// enough to amortize allocation across a burst of first-writes after a
-// clone, small enough that a lightly-dirtied table doesn't hold a large
-// mostly-empty block.
-const blockGroups = 64
+// maxBlockGroups caps how many groups one private arena block holds.
+// Blocks start at one group and double up to this cap, so a clone that
+// writes a handful of groups (an interval machine's ITC, whose index
+// scatters over every chunk) allocates about what it copies, while a
+// burst of first-writes still amortizes allocation over many groups.
+const maxBlockGroups = 64
 
 // Table is a copy-on-write array of equally sized groups (cache sets,
 // weight rows). Reads go through RO, writes through Mut. The zero Table
@@ -79,7 +80,8 @@ func (t *Table[T]) Mut(i int) []T {
 //dmp:hotpath
 func (t *Table[T]) unshare(i int) []T {
 	if len(t.arena)+t.gsize > cap(t.arena) {
-		t.arena = make([]T, 0, blockGroups*t.gsize) //dmp:allow hotalloc -- arena block amortizes one allocation over blockGroups first-writes
+		n := min(max(1, 2*cap(t.arena)/t.gsize), maxBlockGroups)
+		t.arena = make([]T, 0, n*t.gsize) //dmp:allow hotalloc -- doubling arena blocks amortize allocation over first-writes
 	}
 	off := len(t.arena)
 	t.arena = append(t.arena, t.groups[i]...)
@@ -95,17 +97,41 @@ func (t *Table[T]) unshare(i int) []T {
 //
 //dmp:hotpath
 func (t *Table[T]) Clone() Table[T] {
-	t.own++
-	if t.own == 0 { // wrapped: nothing is provably private any more
-		t.own = 1
-		for i := range t.gen {
-			t.gen[i] = 0
-		}
-	}
+	t.freeze()
 	//dmp:allow hotalloc -- the snapshot's header arrays ARE the O(metadata) cost Clone promises, once per sampling period
 	c := Table[T]{groups: make([][]T, len(t.groups)), gen: make([]uint32, len(t.groups)), own: 1, gsize: t.gsize}
 	copy(c.groups, t.groups)
 	return c
+}
+
+// freeze makes every group shared: the receiver's next write to each
+// re-copies it.
+func (t *Table[T]) freeze() {
+	t.own++
+	if t.own == 0 { // wrapped: nothing is provably private any more
+		t.own = 1
+		clear(t.gen)
+	}
+}
+
+// CloneInto is Clone writing the snapshot into dst instead of allocating
+// one: dst must be a dead table of the same dimensions — a finished
+// clone nothing reads any more, and from which no live table was cloned.
+// Its header arrays are overwritten and its last private block is reused
+// for the new snapshot's first writes. A dst of other dimensions (or the
+// zero Table) gets fresh headers, as Clone would.
+//
+//dmp:hotpath
+func (t *Table[T]) CloneInto(dst *Table[T]) {
+	if len(dst.groups) != len(t.groups) || dst.gsize != t.gsize {
+		*dst = t.Clone()
+		return
+	}
+	t.freeze()
+	copy(dst.groups, t.groups)
+	clear(dst.gen)
+	dst.own = 1
+	dst.arena = dst.arena[:0]
 }
 
 // Flat is a copy-on-write flat array of T, chunked into fixed-size
@@ -160,4 +186,13 @@ func (f *Flat[T]) Mut(i int) *T {
 //dmp:hotpath
 func (f *Flat[T]) Clone() Flat[T] {
 	return Flat[T]{tab: f.tab.Clone(), shift: f.shift, mask: f.mask, n: f.n}
+}
+
+// CloneInto snapshots the array into dst, a dead flat array of the same
+// length (see Table.CloneInto).
+//
+//dmp:hotpath
+func (f *Flat[T]) CloneInto(dst *Flat[T]) {
+	f.tab.CloneInto(&dst.tab)
+	dst.shift, dst.mask, dst.n = f.shift, f.mask, f.n
 }

@@ -3,6 +3,7 @@ package emu
 import (
 	"testing"
 
+	"dmp/internal/isa"
 	"dmp/internal/prog"
 )
 
@@ -137,7 +138,7 @@ func TestExcursionLeavesStateUntouched(t *testing.T) {
 			if !st.Taken {
 				wrong = st.Inst.Target
 			}
-			e.Excursion(wrong, 64, func(Step) bool { return true })
+			e.Excursion(wrong, 64, func(_, _ uint64, _ bool, _ uint64) bool { return true })
 		}
 	}
 	if e.Count != plain.Count || e.Regs != plain.Regs {
@@ -148,4 +149,70 @@ func TestExcursionLeavesStateUntouched(t *testing.T) {
 			t.Errorf("mem[%#x] = %d, want %d", addr, got, val)
 		}
 	})
+}
+
+// TestExcursionMatchesClonedEmulator pins what an excursion reports: the
+// same PCs, next PCs, loads and load addresses as stepping a clone of
+// the emulator from the excursion's start, excursion after excursion —
+// so the overlay one excursion reuses from the last never leaks a store
+// into the next.
+func TestExcursionMatchesClonedEmulator(t *testing.T) {
+	// The loop counter lives in memory: each wrong path re-runs the loop
+	// body, decrementing and storing it, reloading it (forwarded from the
+	// overlay) and branching on the result, so a load that misses the
+	// overlay or sees an earlier excursion's store changes the path.
+	p := prog.MustAssemble(`
+        li r2, 0x100
+        li r1, 40
+        st r1, 0(r2)
+loop:   ld r1, 0(r2)
+        subi r1, r1, 1
+        st r1, 0(r2)
+        ld r6, 0(r2)
+        andi r7, r6, 1
+        br.eq r7, zero, skip
+        st r6, 8(r2)
+        ld r8, 8(r2)
+skip:   br.gt r6, zero, loop
+        halt`)
+	e := New(p)
+	excursions := 0
+	for !e.Halted {
+		st, err := e.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Inst.IsBranch() {
+			continue
+		}
+		wrong := st.PC + 1
+		if !st.Taken {
+			wrong = st.Inst.Target
+		}
+		ref := e.Clone()
+		ref.PC = wrong
+		n := 0
+		e.Excursion(wrong, 64, func(pc, next uint64, load bool, addr uint64) bool {
+			rs, err := ref.Step()
+			if err != nil {
+				t.Fatalf("reference step: %v", err)
+			}
+			if pc != rs.PC || next != rs.NextPC || load != rs.IsLoad || (load && addr != rs.Addr) {
+				t.Fatalf("excursion %d step %d: got pc=%d next=%d load=%v addr=%#x, want pc=%d next=%d load=%v addr=%#x",
+					excursions, n, pc, next, load, addr, rs.PC, rs.NextPC, rs.IsLoad, rs.Addr)
+			}
+			n++
+			return true
+		})
+		if n < 64 && !ref.Halted {
+			// The excursion stopped early only at a HALT or outside the image.
+			if in := ref.PC; p.InCode(in) && p.Code[in].Op != isa.HALT {
+				t.Fatalf("excursion %d stopped after %d steps at pc %d", excursions, n, in)
+			}
+		}
+		excursions++
+	}
+	if excursions == 0 {
+		t.Fatal("program took no branches")
+	}
 }

@@ -42,6 +42,9 @@ type Emulator struct {
 	Halted bool
 
 	hist *History
+	// ov is the store overlay Excursion reuses from one excursion to the
+	// next (emptied at the start of each); never shared by clones.
+	ov map[uint64]uint64
 }
 
 // New returns an emulator at the program entry with initial data memory
@@ -61,6 +64,7 @@ func (e *Emulator) Clone() *Emulator {
 	c := *e
 	c.Mem = e.Mem.Clone()
 	c.hist = nil // history does not transfer across clones
+	c.ov = nil
 	return &c
 }
 
@@ -87,10 +91,20 @@ func (e *Emulator) Step() (Step, error) {
 	return s, err
 }
 
+// StepInto is Step writing the record into *s, which it zeroes first:
+// loops that consume every record (functional warming) reuse one Step
+// instead of copying a fresh one out per instruction.
+func (e *Emulator) StepInto(s *Step) error {
+	*s = Step{}
+	return e.step(s)
+}
+
 // step executes one instruction, filling in *s, which must be zero on
 // entry (left partial on error). Step is a small inlinable wrapper around
 // it, so callers build the record in their own frame instead of copying
 // it out of this one.
+//
+//dmp:hotpath
 func (e *Emulator) step(s *Step) error {
 	if e.Halted {
 		return fmt.Errorf("emu: step after halt")
@@ -169,76 +183,72 @@ func (e *Emulator) step(s *Step) error {
 // Excursion speculatively executes from pc for up to max instructions
 // without disturbing the emulator: registers are copied, stores land in
 // a private overlay, and loads see the overlay first and committed
-// memory second. fn receives each step; returning false stops the walk.
+// memory second. fn receives each step's PC, next PC, and whether it
+// was a load and from which address (what wrong-path cache warming
+// reads); returning false stops the walk. The record is passed as
+// scalars so no Step is built or escapes per wrong-path instruction.
 // Execution also stops silently at a HALT, at any PC outside the code
 // image, or on an op Step would reject — a wrong path may run anywhere,
 // and the caller (wrong-path runahead warming) wants "stop", not an
-// error. The emulator's own Regs, Mem, PC, and Count are untouched.
-func (e *Emulator) Excursion(pc uint64, max int, fn func(Step) bool) {
+// error. The emulator's own Regs, Mem, PC, and Count are untouched; the
+// overlay's map is kept for the next excursion.
+//
+//dmp:hotpath
+func (e *Emulator) Excursion(pc uint64, max int, fn func(pc, next uint64, load bool, addr uint64) bool) {
 	regs := e.Regs
-	var overlay map[uint64]uint64
-	reg := func(r isa.Reg) uint64 {
-		if r == isa.Zero {
-			return 0
-		}
-		return regs[r]
-	}
-	setReg := func(r isa.Reg, v uint64) {
-		if r != isa.Zero {
-			regs[r] = v
-		}
-	}
+	regs[isa.Zero] = 0
+	ov := e.ov
+	clear(ov)
 	for n := 0; n < max; n++ {
 		if !e.Prog.InCode(pc) {
 			return
 		}
-		in := e.Prog.Code[pc]
-		s := Step{PC: pc, Inst: in, NextPC: pc + 1}
+		in := &e.Prog.Code[pc]
+		next, load, addr := pc+1, false, uint64(0)
 		switch {
 		case in.IsALU():
-			setReg(in.Dst, isa.EvalALU(in, reg(in.Src1), reg(in.Src2)))
+			regs[in.Dst] = isa.EvalALU(*in, regs[in.Src1], regs[in.Src2])
 		case in.Op == isa.LD:
-			addr := reg(in.Src1) + uint64(in.Imm)
-			v, ok := overlay[addr>>3]
+			addr = regs[in.Src1] + uint64(in.Imm)
+			v, ok := ov[addr>>3]
 			if !ok {
 				v = e.Mem.Read(addr)
 			}
-			setReg(in.Dst, v)
-			s.IsLoad, s.Addr = true, addr
+			regs[in.Dst] = v
+			load = true
 		case in.Op == isa.ST:
-			addr := reg(in.Src1) + uint64(in.Imm)
-			if overlay == nil {
-				overlay = map[uint64]uint64{}
+			addr = regs[in.Src1] + uint64(in.Imm)
+			if ov == nil {
+				ov = make(map[uint64]uint64) //dmp:allow hotalloc -- once per emulator; later excursions clear and reuse it
+				e.ov = ov
 			}
-			overlay[addr>>3] = reg(in.Src2)
-			s.IsStore, s.Addr = true, addr
+			ov[addr>>3] = regs[in.Src2]
 		case in.Op == isa.BR:
-			s.Taken = in.Cond.Eval(reg(in.Src1), reg(in.Src2))
-			if s.Taken {
-				s.NextPC = in.Target
+			if in.Cond.Eval(regs[in.Src1], regs[in.Src2]) {
+				next = in.Target
 			}
 		case in.Op == isa.JMP:
-			s.NextPC = in.Target
+			next = in.Target
 		case in.Op == isa.JR:
-			s.NextPC = reg(in.Src1)
+			next = regs[in.Src1]
 		case in.Op == isa.CALL:
-			setReg(in.Dst, pc+1)
-			s.NextPC = in.Target
+			regs[in.Dst] = pc + 1
+			next = in.Target
 		case in.Op == isa.CALLR:
-			t := reg(in.Src1)
-			setReg(in.Dst, pc+1)
-			s.NextPC = t
+			next = regs[in.Src1]
+			regs[in.Dst] = pc + 1
 		case in.Op == isa.RET:
-			s.NextPC = reg(in.Src1)
+			next = regs[in.Src1]
 		case in.Op == isa.NOP:
 			// nothing
 		default:
 			return // HALT or unimplemented: the wrong path ends here
 		}
-		if !fn(s) {
+		regs[isa.Zero] = 0
+		if !fn(pc, next, load, addr) {
 			return
 		}
-		pc = s.NextPC
+		pc = next
 	}
 }
 

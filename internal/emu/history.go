@@ -44,8 +44,13 @@ type histWrite struct {
 
 // EnableHistory starts recording rewind state on every Step. The current
 // state becomes the oldest rewindable point.
-func (e *Emulator) EnableHistory() {
-	e.hist = &History{base: e.Count}
+func (e *Emulator) EnableHistory() { e.EnableHistoryIn(new(History)) }
+
+// EnableHistoryIn is EnableHistory recording into h, whose log storage
+// is reused: h must not be recording for any other live emulator.
+func (e *Emulator) EnableHistoryIn(h *History) {
+	h.base, h.recs, h.wr = e.Count, h.recs[:0], h.wr[:0]
+	e.hist = h
 }
 
 // RewindTo restores the emulator to its state immediately after step

@@ -166,8 +166,7 @@ func Run(p *prog.Program, opts Options) (*Report, error) {
 			if s.Taken {
 				st.taken++
 			}
-			predicted := pred.Predict(s.PC, hist)
-			pred.Update(s.PC, hist, s.Taken)
+			predicted := pred.PredictUpdate(s.PC, hist, s.Taken)
 			if predicted != s.Taken {
 				st.misp++
 				totalMisp++

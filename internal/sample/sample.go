@@ -224,6 +224,12 @@ type pipeline struct {
 	cwg   sync.WaitGroup    // live consumer goroutines (they hold slots)
 	detNS atomic.Int64      // detailed-simulation wall time
 
+	// spare carries finished intervals' warm states back to the producer,
+	// whose next snapshot reuses their storage (Warmer.SnapshotInto). Its
+	// buffer holds as many states as the job queue holds jobs, plus one;
+	// a state that finds it full is left to the collector.
+	spare chan *core.WarmState
+
 	// tr/spanID carry the attached telemetry tracer (nil when off) and
 	// the run span's id, so runJob can emit per-interval trace events
 	// from scalar arguments behind one nil check.
@@ -233,13 +239,18 @@ type pipeline struct {
 
 // runJob simulates one detailed interval and releases its snapshot
 // (checkpoint memory + warm state) immediately, instead of holding every
-// one until the end of the run.
+// one until the end of the run. The warm state, dead once its machine
+// has finished, goes back to the producer for reuse when spare has room.
 //
 //dmp:hotpath
 func (pl *pipeline) runJob(jb *intervalJob) {
 	t0 := time.Now() //dmp:allow nondeterminism -- Timing is excluded from golden tables
 	jb.iv, jb.st, jb.err = runInterval(pl.p, pl.cfg, jb.c, pl.warmup, pl.interval)
 	jb.iv.Index = jb.index
+	select {
+	case pl.spare <- jb.c.ws:
+	default:
+	}
 	jb.c = checkpointAt{}
 	mLiveSnapshots.Add(-1)
 	mIntervals.Inc()
@@ -389,7 +400,7 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 	mcfg := cfg
 	mcfg.MaxInsts = 0 // interval machines are bounded by RunUntil targets
 	pl := &pipeline{p: p, cfg: mcfg, warmup: warmup, interval: interval, slots: slots,
-		tr: o.Span.Tracer(), spanID: o.Span.ID()}
+		spare: make(chan *core.WarmState, cap(slots)+2), tr: o.Span.Tracer(), spanID: o.Span.ID()}
 	if !o.Sequential {
 		pl.jobs = make(chan *intervalJob, cap(slots)+1)
 	}
@@ -426,8 +437,13 @@ func Run(p *prog.Program, cfg core.Config, o Options) (*Result, error) {
 			break
 		}
 		t0 := time.Now() //dmp:allow nondeterminism -- Timing is excluded from golden tables
+		var dead *core.WarmState
+		select {
+		case dead = <-pl.spare:
+		default:
+		}
 		jb := &intervalJob{index: len(pl.all),
-			c: checkpointAt{start: w.Count(), ck: w.Checkpoint(), ws: w.Snapshot()}}
+			c: checkpointAt{start: w.Count(), ck: w.Checkpoint(), ws: w.SnapshotInto(dead)}}
 		tm.SnapshotSeconds += time.Since(t0).Seconds() //dmp:allow nondeterminism -- Timing is excluded from golden tables
 		mLiveSnapshots.Add(1)
 		if pl.tr != nil {

@@ -3,6 +3,7 @@ package vet
 import (
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"path/filepath"
 	"strings"
@@ -140,6 +141,12 @@ func TestAnalyzerApplies(t *testing.T) {
 	if !HotAlloc.applies("dmp/internal/sample") {
 		t.Error("hotalloc must run on the sampling driver's consumer loop")
 	}
+	if !HotAlloc.applies("dmp/internal/emu") {
+		t.Error("hotalloc must run on emu (warming steps and wrong-path excursions run per instruction)")
+	}
+	if !HotAlloc.applies("dmp/internal/bpred") {
+		t.Error("hotalloc must run on bpred (the perceptron trains on every warmed and retired branch)")
+	}
 	if !HotAlloc.applies("dmp/internal/telemetry") {
 		t.Error("hotalloc must run on telemetry (its metric hot paths promise zero allocation, and its probe sinks' Uop callbacks ride the pipeline)")
 	}
@@ -148,6 +155,54 @@ func TestAnalyzerApplies(t *testing.T) {
 	}
 	if Canonical.applies("dmp/internal/exp") {
 		t.Error("canonical is scoped to the package defining the cache key")
+	}
+}
+
+// TestHotPathsMarked pins which per-instruction functions carry the
+// //dmp:hotpath directive, so hotalloc keeps guarding them: the
+// functional-warming loop, the emulator steps it drives, the perceptron
+// kernel, and the cache access and warm-fetch filter.
+func TestHotPathsMarked(t *testing.T) {
+	want := map[string][]string{
+		"internal/emu/emu.go":       {"Emulator.step", "Emulator.Excursion"},
+		"internal/bpred/bpred.go":   {"Perceptron.output", "Perceptron.Update", "Perceptron.train"},
+		"internal/core/warm.go":     {"WarmState.observe", "WarmState.maybeEpisode", "WarmState.runahead", "Warmer.WarmTo"},
+		"internal/cache/cache.go":   {"Cache.Access", "Hierarchy.WarmFetch"},
+		"internal/cow/cow.go":       {"Table.Mut", "Table.unshare", "Table.CloneInto"},
+		"internal/sample/sample.go": {"pipeline.runJob", "pipeline.dispatch"},
+	}
+	for file, names := range want {
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, filepath.Join(repoRoot(t), file), nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hot := map[string]bool{}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || !isHotPath(fd.Doc) {
+				continue
+			}
+			name := fd.Name.Name
+			if fd.Recv != nil && len(fd.Recv.List) == 1 {
+				typ := fd.Recv.List[0].Type
+				if st, ok := typ.(*ast.StarExpr); ok {
+					typ = st.X
+				}
+				if ix, ok := typ.(*ast.IndexExpr); ok {
+					typ = ix.X
+				}
+				if id, ok := typ.(*ast.Ident); ok {
+					name = id.Name + "." + name
+				}
+			}
+			hot[name] = true
+		}
+		for _, n := range names {
+			if !hot[n] {
+				t.Errorf("%s: %s is not marked //dmp:hotpath", file, n)
+			}
+		}
 	}
 }
 
